@@ -27,7 +27,7 @@ exact = 3.0 * unit_ball_volume(3) * (2.0 ** 4 - 1.0) / 4.0
 print(f"3D shell [1,2): mu = {m.value:.15f} (exact {exact:.15f})")
 
 print()
-print("=== 2D polygons are exact, boxes in 3D are quadrature ===")
+print("=== 2D polygons are exact, 3D boxes and polytopes reduce to facets ===")
 tri = Region([Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])])
 m = tri.weighted_measure()
 mc, sd = estimate_weighted_measure(tri, samples=400_000,
@@ -40,7 +40,17 @@ box = Region([AxisBox([0.2, -0.3, 0.1], [1.0, 0.5, 0.9])])
 m = box.weighted_measure(abs_tol=1e-10)
 mc, sd = estimate_weighted_measure(box, samples=400_000,
                                    rng=np.random.default_rng(1))
-print(f"3D box: quadrature {m.value:.12f} (error bound {m.error_bound:.1e})")
+print(f"3D box: facet reduction {m.value:.12f} (error bound {m.error_bound:.1e})")
+print(f"  Monte Carlo  {mc:.12f} +- {sd:.1e} "
+      f"({abs(mc - m.value) / sd:.2f} sigma)")
+
+tet = Region([Polytope([[-0.2, -0.1, -0.3], [0.9, 0.0, 0.1],
+                        [0.1, 0.8, 0.0], [0.0, 0.2, 0.7]])])
+m = tet.weighted_measure(abs_tol=1e-10)
+mc, sd = estimate_weighted_measure(tet, samples=400_000,
+                                   rng=np.random.default_rng(2))
+print(f"3D tetrahedron around the origin: facet reduction {m.value:.12f} "
+      f"(error bound {m.error_bound:.1e})")
 print(f"  Monte Carlo  {mc:.12f} +- {sd:.1e} "
       f"({abs(mc - m.value) / sd:.2f} sigma)")
 

@@ -1,4 +1,4 @@
-"""Root finding and quadrature helpers.
+"""Root finding and one-dimensional minimisation.
 
 All root finding in the package goes through :func:`solve_monotone`:
 bracketing bisection with relative tolerance ``1e-12`` and geometric
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import AccuracyError, BracketError
+from .errors import BracketError
 
 _REL_TOL = 1e-12
 _EXPANSION = 2.0
@@ -135,75 +135,3 @@ def minimize_unimodal(f, rel_tol=1e-12, k0=1.0, span=2.0 ** 60):
             f2 = f(math.exp(x2))
     k = math.exp(0.5 * (a + b))
     return k, f(k)
-
-
-def _gauss_nodes(order):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-_N4 = _gauss_nodes(4)
-_N8 = _gauss_nodes(8)
-
-
-def _tensor_rule(f, lo, hi, nodes, weights):
-    n = len(lo)
-    grids = np.meshgrid(*[lo[i] + (hi[i] - lo[i]) * nodes for i in range(n)],
-                        indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*[(hi[i] - lo[i]) * weights for i in range(n)],
-                         indexing="ij")
-    w = np.ones_like(wgrids[0])
-    for wg in wgrids:
-        w = w * wg
-    return float(np.sum(f(pts) * w.ravel()))
-
-
-def adaptive_box_quadrature(f, lo, hi, abs_tol, max_cells=40000):
-    """Integrate ``f`` over an axis box with adaptive subdivision.
-
-    ``f`` maps an ``(m, n)`` point array to ``m`` values.  Each cell is
-    estimated with tensor Gauss rules of order 4 and 8; cells whose
-    disagreement exceeds their volume-proportional share of ``abs_tol``
-    are split along their widest axis.
-
-    Returns ``(value, error_bound)``.
-
-    Raises
-    ------
-    AccuracyError
-        If the tolerance is still unmet after ``max_cells`` cells.
-    """
-    lo = np.asarray(lo, float)
-    hi = np.asarray(hi, float)
-    total_vol = float(np.prod(hi - lo))
-    if total_vol == 0.0:
-        return 0.0, 0.0
-    stack = [(lo, hi)]
-    value = 0.0
-    err = 0.0
-    cells = 0
-    while stack:
-        clo, chi = stack.pop()
-        cells += 1
-        if cells > max_cells:
-            raise AccuracyError(
-                f"box quadrature exceeded {max_cells} cells at abs_tol={abs_tol!r}"
-            )
-        coarse = _tensor_rule(f, clo, chi, *_N4)
-        fine = _tensor_rule(f, clo, chi, *_N8)
-        disagreement = abs(fine - coarse)
-        share = abs_tol * float(np.prod(chi - clo)) / total_vol
-        if disagreement <= max(share, 1e-18):
-            value += fine
-            err += disagreement
-        else:
-            axis = int(np.argmax(chi - clo))
-            mid = 0.5 * (clo[axis] + chi[axis])
-            left_hi = chi.copy()
-            left_hi[axis] = mid
-            right_lo = clo.copy()
-            right_lo[axis] = mid
-            stack.append((clo, left_hi))
-            stack.append((right_lo, chi))
-    return value, err

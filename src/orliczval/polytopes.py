@@ -31,10 +31,14 @@ def _eps(*arrays):
     return 1e-12 * m * m
 
 
+# tolerance for distances, relative to the coordinates' scale; must stay
+# far below legitimate feature sizes, which reach 2**-20 in the
+# degeneration schedules
+_DIST_TOL = 1e-9
+
+
 def _tol(*arrays):
-    # tolerance for distances; must stay far below legitimate feature
-    # sizes, which reach 2**-20 in the degeneration schedules
-    return 1e-9 * _scale(*arrays)
+    return _DIST_TOL * _scale(*arrays)
 
 
 def _cross(a, b):
@@ -171,10 +175,27 @@ class Polytope:
             raise DomainError("polytope vertices must be finite")
         self.vertices = hull_vertices(pts)
         self.dim = pts.shape[1]
+        # built on first use: rank costs an SVD, the hull a qhull run
+        self._rank = None
+        self._hull = None
 
     @property
     def rank(self):
-        return affine_rank(self.vertices)
+        if self._rank is None:
+            self._rank = affine_rank(self.vertices)
+        return self._rank
+
+    @property
+    def hull(self):
+        """The qhull of the vertices (full rank, dimension >= 3 only).
+
+        Its ``equations`` are the facets' outward unit normals and
+        offsets, ``a.x + d <= 0`` inside, and its ``simplices`` the
+        triangulated facets.
+        """
+        if self._hull is None:
+            self._hull = ConvexHull(self.vertices)
+        return self._hull
 
     def transform(self, theta):
         mat = theta.matrix if isinstance(theta, UnimodularMap) else np.asarray(theta, float)
@@ -218,9 +239,20 @@ class Polytope:
                 if _cross(v[(i + 1) % len(v)] - v[i], p - v[i]) < -eps:
                     return False
             return True
-        hull = ConvexHull(self.vertices)
-        return bool(np.all(hull.equations[:, :-1] @ p + hull.equations[:, -1]
-                           <= tol))
+        return bool(self.contains_points(p[None, :], slack)[0])
+
+    def contains_points(self, points, slack=0.0):
+        """Membership of each row of ``points``; full rank, dimension >= 3.
+
+        One half-space test against the hull's facet equations, with the
+        per-point tolerance of :meth:`contains`.
+        """
+        pts = np.atleast_2d(np.asarray(points, float))
+        # _tol(vertices, p) for every row p at once
+        scale = np.maximum(_scale(self.vertices), np.max(np.abs(pts), axis=1))
+        tol = _DIST_TOL * scale + slack
+        eq = self.hull.equations
+        return np.all(pts @ eq[:, :-1].T + eq[:, -1] <= tol[:, None], axis=1)
 
     def origin_class(self):
         """One of ``"vertex"``, ``"boundary"``, ``"interior"``, ``"outside"``."""
@@ -241,8 +273,7 @@ class Polytope:
             if min(dists) <= eps:
                 return "boundary"
             return "interior"
-        hull = ConvexHull(v)
-        vals = hull.equations[:, -1]
+        vals = self.hull.equations[:, -1]
         if np.any(vals < -tol):
             return "outside"
         if np.any(np.abs(vals) <= tol):
@@ -270,7 +301,7 @@ def _full_dim_volume_moment(poly):
     n = poly.dim
     if poly.rank < n:
         return 0.0, np.zeros(n)
-    hull = ConvexHull(v)
+    hull = poly.hull
     apex = v[hull.vertices].mean(axis=0)
     vol = 0.0
     mom = np.zeros(n)

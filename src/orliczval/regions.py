@@ -2,9 +2,11 @@
 
 A Region is a disjoint union of primitive parts.  Origin-centered balls
 and annuli, axis boxes, shifted balls on the first axis, and convex
-polytopes cover everything the valuation machinery needs; each part
-knows its measure either in closed form or through quadrature with an
-explicit error bound.
+polytopes cover everything the valuation machinery needs.  Each part
+knows its weighted measure with an explicit error bound: in closed form
+for radial sets and 2D polygons, by Euler's facet reduction with Gauss
+rules for boxes in dimension >= 3 and 3D polytopes (see ``facets``), and
+by a 1D radial quadrature for shifted balls.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import (
     DisjointnessError,
     DomainError,
 )
-from .numerics import adaptive_box_quadrature
+from .facets import box_weighted_measure, hull_weighted_measure
 from .polytopes import (
     Polytope,
     intersect_polygons,
@@ -217,7 +219,15 @@ def _shifted_ball_weighted(ball, abs_tol):
 
 
 def part_weighted_measure(part, abs_tol=1e-9):
-    """Integral of |x| over one part, returned as (value, error bound)."""
+    """Integral of |x| over one part, returned as (value, error bound).
+
+    Radial sets, 2D boxes and 2D polygons are closed forms with bound 0.
+    Boxes in dimension >= 3 and full-rank 3D polytopes go through Euler's
+    facet reduction (``facets``), whose bound never exceeds ``abs_tol``;
+    lower-rank polytopes have measure 0.  Raises ``AccuracyError`` when a
+    quadrature cannot meet ``abs_tol``, and ``CapabilityError`` for
+    full-rank polytopes above dimension 3.
+    """
     if isinstance(part, OriginBall):
         return _radial_weighted(part.dim, 0.0, part.radius), 0.0
     if isinstance(part, Annulus):
@@ -225,15 +235,20 @@ def part_weighted_measure(part, abs_tol=1e-9):
     if isinstance(part, AxisBox):
         if part.dim == 2:
             return polygon_weighted_measure(part.corners_polygon()), 0.0
-        return adaptive_box_quadrature(
-            lambda p: np.sqrt(np.sum(p * p, axis=1)), part.lo, part.hi, abs_tol)
+        return box_weighted_measure(part.lo, part.hi, abs_tol)
     if isinstance(part, ShiftedBall):
         return _shifted_ball_weighted(part, abs_tol)
     if isinstance(part, Polytope):
         if part.dim == 2:
             return part.weighted_measure(), 0.0
+        if part.rank < part.dim:
+            return 0.0, 0.0
+        if part.dim == 3:
+            hull = part.hull
+            return hull_weighted_measure(hull.points, hull.simplices, hull.equations,
+                                         abs_tol)
         raise CapabilityError(
-            "no exact weighted measure for polytopes above dimension 2; "
+            "no exact weighted measure for full-rank polytopes above dimension 3; "
             "use estimate_weighted_measure (Monte Carlo) instead")
     raise DomainError(f"unknown region part {part!r}")
 
@@ -272,7 +287,9 @@ def part_contains(part, points):
                 ok &= (e[0] * (pts[:, 1] - v[i][1])
                        - e[1] * (pts[:, 0] - v[i][0])) >= -1e-12
             return ok
-        return np.array([part.contains(p) for p in pts])
+        if part.rank == part.dim:
+            return part.contains_points(pts)
+        return np.array([part.contains(p) for p in pts], dtype=bool)
     raise DomainError(f"unknown region part {part!r}")
 
 
@@ -312,7 +329,7 @@ def part_from_json(obj):
 
 @dataclass(frozen=True)
 class WeightedMeasure:
-    """A quadrature result: the value plus a rigorous error bound."""
+    """A weighted measure: the value plus a rigorous error bound."""
 
     value: float
     error_bound: float

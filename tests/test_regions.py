@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, special
+from scipy.spatial import ConvexHull
 
 from orliczval.errors import CapabilityError, DisjointnessError, DomainError
 from orliczval.polytopes import Polytope
@@ -17,6 +18,8 @@ from orliczval.regions import (
     estimate_weighted_measure,
     lebesgue,
     moment,
+    part_bounding_box,
+    part_contains,
     part_weighted_measure,
     symmetric_difference,
     unit_ball_volume,
@@ -264,15 +267,44 @@ def test_estimate_weighted_measure_against_exact():
     assert abs(est - exact) < 4.0 * err
 
 
-def test_polytope_3d_weighted_measure_needs_fallback():
+def test_polytope_3d_weighted_measure_matches_box_and_monte_carlo():
     cube = Polytope([[x, y, z] for x in (1, 2) for y in (1, 2) for z in (1, 2)])
-    with pytest.raises(CapabilityError) as info:
-        part_weighted_measure(cube)
-    assert "estimate_weighted_measure" in str(info.value)
+    val, bound = part_weighted_measure(cube, 1e-9)
+    box_val, _ = part_weighted_measure(AxisBox([1, 1, 1], [2, 2, 2]), 1e-9)
+    assert bound <= 1e-9
+    assert abs(val - box_val) <= 1e-12 * box_val
     est, err = estimate_weighted_measure(Region([cube]), samples=150_000,
                                          rng=np.random.default_rng(2))
-    box_val, _ = part_weighted_measure(AxisBox([1, 1, 1], [2, 2, 2]), 1e-9)
     assert abs(est - box_val) < 4.0 * err
+
+
+def _contains_one_hull_per_point(vertices, p):
+    # membership as a fresh qhull per point, with the tolerance 1e-9 * scale
+    hull = ConvexHull(vertices)
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(vertices))), float(np.max(np.abs(p))))
+    return bool(np.all(hull.equations[:, :-1] @ p + hull.equations[:, -1] <= tol))
+
+
+def test_polytope_3d_membership_is_one_halfspace_test():
+    rng = np.random.default_rng(31)
+    for k in range(4):
+        poly = Polytope(rng.uniform(-1.0, 1.0, (10, 3)) * (1.0 + 2.0 * k))
+        hull = ConvexHull(poly.vertices)
+        scale = max(1.0, float(np.max(np.abs(poly.vertices))))
+        lo, hi = part_bounding_box(poly)
+        pts = [lo + (hi - lo) * rng.random((300, 3))]
+        # points on facets, moved along the normal by fractions of the tolerance
+        for offset in (-3.0, -0.5, 0.0, 0.5, 3.0):
+            for eq, simplex in zip(hull.equations, hull.simplices):
+                bary = rng.dirichlet(np.ones(3))
+                on = bary @ poly.vertices[simplex]
+                pts.append((on + offset * 1e-9 * scale * eq[:3])[None, :])
+        pts = np.vstack(pts)
+        got = part_contains(poly, pts)
+        assert got.dtype == bool
+        assert got.tolist() == [poly.contains(p) for p in pts]
+        assert got.tolist() == [_contains_one_hull_per_point(poly.vertices, p) for p in pts]
+        assert 0 < np.count_nonzero(got) < len(pts)
 
 
 # -- cube covers -----------------------------------------------------------
