@@ -3,8 +3,10 @@
 A SimpleFunction is a finite weighted sum of region indicators with
 pairwise disjoint regions and implicit value zero elsewhere.  Lattice
 operations (pointwise max and min) are computed exactly by refining
-both operands onto one shared partition; the partition is built in the
-radial, axis-box, or planar-polygon algebra, whichever fits all parts.
+both operands onto one shared partition.  The partition comes from the
+one cell engine in ``regions`` (``refinement_cells``): radial parts and
+axis boxes are painted on one compressed grid, planar polygons are
+clipped, whichever algebra fits all parts.
 """
 
 from __future__ import annotations
@@ -14,19 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, DomainError
-from .polytopes import (
-    Polytope,
-    intersect_polygons,
-    polygon_weighted_measure,
-    subtract_polygon,
-)
-from .regions import (
-    Annulus,
-    AxisBox,
-    OriginBall,
-    Region,
-    part_contains,
-)
+from .polytopes import polygon_weighted_measure
+# part_contains stays bound here: bench/tests checks that tracing wraps it here too
+from .regions import Region, part_contains, refinement_cells  # noqa: F401
 
 
 class SimpleFunction:
@@ -125,108 +117,24 @@ def _flatten(f):
     return [(v, p) for v, region in f.terms for p in region.parts]
 
 
-def _radial_interval_or_none(part):
-    if isinstance(part, OriginBall):
-        return 0.0, part.radius
-    if isinstance(part, Annulus):
-        return part.inner, part.outer
-    return None
-
-
-def _refine_radial(fparts, gparts, dim):
-    cuts = set()
-    fiv = []
-    giv = []
-    for v, p in fparts:
-        iv = _radial_interval_or_none(p)
-        cuts.update(iv)
-        fiv.append((v, iv))
-    for v, p in gparts:
-        iv = _radial_interval_or_none(p)
-        cuts.update(iv)
-        giv.append((v, iv))
-    cells = []
-    cuts = sorted(cuts)
-    for lo, hi in zip(cuts, cuts[1:]):
-        mid = 0.5 * (lo + hi)
-        a = sum(v for v, (s, t) in fiv if s <= mid < t)
-        b = sum(v for v, (s, t) in giv if s <= mid < t)
-        if a != 0.0 or b != 0.0:
-            part = OriginBall(dim, hi) if lo == 0.0 else Annulus(dim, lo, hi)
-            cells.append((part, a, b))
-    return cells
-
-
-def _refine_boxes(fparts, gparts, dim):
-    cuts = [set() for _ in range(dim)]
-    for _, box in fparts + gparts:
-        for ax in range(dim):
-            cuts[ax].update((box.lo[ax], box.hi[ax]))
-    cuts = [sorted(c) for c in cuts]
-    cells = []
-    for idx in np.ndindex(*[len(c) - 1 for c in cuts]):
-        lo = np.array([cuts[ax][i] for ax, i in enumerate(idx)])
-        hi = np.array([cuts[ax][i + 1] for ax, i in enumerate(idx)])
-        mid = 0.5 * (lo + hi)[None, :]
-        a = sum(v for v, box in fparts if bool(part_contains(box, mid)[0]))
-        b = sum(v for v, box in gparts if bool(part_contains(box, mid)[0]))
-        if a != 0.0 or b != 0.0:
-            cells.append((AxisBox(lo, hi), a, b))
-    return cells
-
-
-def _as_refinable_polygon(part):
-    if isinstance(part, AxisBox) and part.dim == 2:
-        return part.corners_polygon()
-    if isinstance(part, Polytope) and part.dim == 2 and part.rank == 2:
-        return part.vertices
-    return None
-
-
-def _refine_polygons(fpolys, gpolys):
-    cells = []
-    for va, p in fpolys:
-        rest = [p]
-        for vb, q in gpolys:
-            inter = intersect_polygons(p, q)
-            if inter is not None:
-                cells.append((Polytope(inter), va, vb))
-            rest = [piece for r in rest for piece in subtract_polygon(r, q)]
-        for r in rest:
-            cells.append((Polytope(r), va, 0.0))
-    for vb, q in gpolys:
-        rest = [q]
-        for _, p in fpolys:
-            rest = [piece for r in rest for piece in subtract_polygon(r, p)]
-        for r in rest:
-            cells.append((Polytope(r), 0.0, vb))
-    return cells
-
-
 def refine(f, g):
     """Common disjoint partition carrying both functions' values.
 
-    Works inside one of three exact algebras: origin-centered radial
-    parts, axis boxes of equal dimension, or planar polygons (2D boxes
-    are promoted).  Mixing algebras raises a capability error; the
-    caller can rasterize both sides onto a GridFunction instead.
+    The cells come from ``regions.refinement_cells``, one engine with
+    three exact algebras: origin-centered radial parts and axis boxes of
+    equal dimension are painted on one grid of compressed cuts, planar
+    polygons (2D boxes promoted) are clipped by half-planes.  Mixing
+    algebras raises a capability error; the caller can rasterize both
+    sides onto a GridFunction instead.
     """
     if f.dim != g.dim:
         raise DomainError("dimensions disagree")
-    dim = f.dim
-    fparts, gparts = _flatten(f), _flatten(g)
-    if all(_radial_interval_or_none(p) is not None for _, p in fparts + gparts):
-        return RefinedPair(dim, tuple(_refine_radial(fparts, gparts, dim)))
-    if all(isinstance(p, AxisBox) for _, p in fparts + gparts):
-        return RefinedPair(dim, tuple(_refine_boxes(fparts, gparts, dim)))
-    if dim == 2:
-        fpolys = [(v, _as_refinable_polygon(p)) for v, p in fparts]
-        gpolys = [(v, _as_refinable_polygon(p)) for v, p in gparts]
-        if all(p is not None for _, p in fpolys + gpolys):
-            return RefinedPair(2, tuple(_refine_polygons(fpolys, gpolys)))
-    raise CapabilityError(
-        "no exact common refinement for this part mix; rasterize both "
-        "functions with rasterize() and use the grid-based operations")
+    cells = refinement_cells(_flatten(f), _flatten(g), f.dim)
+    if cells is None:
+        raise CapabilityError(
+            "no exact common refinement for this part mix; rasterize both "
+            "functions with rasterize() and use the grid-based operations")
+    return RefinedPair(f.dim, tuple(cells))
 
 
 def lattice_max_min(f, g):

@@ -127,7 +127,9 @@ def affine_rank(points, eps=None):
     centered = pts - pts.mean(axis=0)
     s = np.linalg.svd(centered, compute_uv=False)
     if eps is None:
-        eps = 1e-9 * max(1.0, float(s[0]))
+        # relative to the extent, so a scaled polytope keeps its rank at any
+        # scale, and above the roundoff of centering coordinates of size |x|
+        eps = max(1e-9 * float(s[0]), 1e-12 * float(np.max(np.abs(pts))))
     return int(np.sum(s > eps))
 
 

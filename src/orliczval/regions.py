@@ -7,6 +7,12 @@ knows its weighted measure with an explicit error bound: in closed form
 for radial sets and 2D polygons, by Euler's facet reduction with Gauss
 rules for boxes in dimension >= 3 and 3D polytopes (see ``facets``), and
 by a 1D radial quadrature for shifted balls.
+
+The common refinement of two lists of valued parts lives here too, in
+one cell engine (``refinement_cells``) that ``functions.refine`` and
+``symmetric_difference`` both read.  It has three exact algebras:
+radial parts and axis boxes are intervals painted on one grid of
+compressed cuts, and 2D boxes and polygons are clipped by half-planes.
 """
 
 from __future__ import annotations
@@ -161,10 +167,6 @@ class ShiftedBall:
 _RADIAL = (OriginBall, Annulus)
 
 
-def _part_dim(part):
-    return part.dim
-
-
 def part_lebesgue(part):
     if isinstance(part, OriginBall):
         return unit_ball_volume(part.dim) * part.radius ** part.dim
@@ -265,6 +267,15 @@ def part_moment(part):
     raise DomainError(f"unknown region part {part!r}")
 
 
+def _in_convex_polygon(v, x, y):
+    # on or left of every edge of the ccw polygon v, to an absolute 1e-12
+    inside = np.ones(np.shape(x), bool)
+    for i in range(len(v)):
+        e = v[(i + 1) % len(v)] - v[i]
+        inside &= (e[0] * (y - v[i][1]) - e[1] * (x - v[i][0])) >= -1e-12
+    return inside
+
+
 def part_contains(part, points):
     """Vectorized membership for an (m, n) array of points."""
     pts = np.atleast_2d(np.asarray(points, float))
@@ -280,13 +291,7 @@ def part_contains(part, points):
         return np.sum(d * d, axis=1) <= part.radius ** 2
     if isinstance(part, Polytope):
         if part.dim == 2 and part.rank == 2:
-            v = part.vertices
-            ok = np.ones(len(pts), bool)
-            for i in range(len(v)):
-                e = v[(i + 1) % len(v)] - v[i]
-                ok &= (e[0] * (pts[:, 1] - v[i][1])
-                       - e[1] * (pts[:, 0] - v[i][0])) >= -1e-12
-            return ok
+            return _in_convex_polygon(part.vertices, pts[:, 0], pts[:, 1])
         if part.rank == part.dim:
             return part.contains_points(pts)
         return np.array([part.contains(p) for p in pts], dtype=bool)
@@ -348,7 +353,7 @@ class Region:
 
     def __init__(self, parts, dim=None):
         parts = tuple(parts)
-        dims = {_part_dim(p) for p in parts}
+        dims = {p.dim for p in parts}
         if dim is None:
             if len(dims) != 1:
                 raise DomainError("empty or mixed-dimension part list needs dim=")
@@ -410,10 +415,18 @@ class Region:
         return f"Region(dim={self.dim}, parts={list(self.parts)!r})"
 
 
-def _radial_interval(part):
+def radial_interval(part):
+    """``(inner, outer)`` in |x| of an origin ball or annulus; None for other parts."""
     if isinstance(part, OriginBall):
         return 0.0, part.radius
-    return part.inner, part.outer
+    if isinstance(part, Annulus):
+        return part.inner, part.outer
+    return None
+
+
+def radial_part(dim, inner, outer):
+    """The origin ball (inner 0) or the annulus with radii in [inner, outer)."""
+    return OriginBall(dim, outer) if inner == 0.0 else Annulus(dim, inner, outer)
 
 
 def _as_polygon(part):
@@ -426,8 +439,8 @@ def _as_polygon(part):
 
 def _check_pair_disjoint(a, b, rng, samples):
     if isinstance(a, _RADIAL) and isinstance(b, _RADIAL):
-        lo_a, hi_a = _radial_interval(a)
-        lo_b, hi_b = _radial_interval(b)
+        lo_a, hi_a = radial_interval(a)
+        lo_b, hi_b = radial_interval(b)
         if lo_a < hi_b and lo_b < hi_a:
             raise DisjointnessError(f"radial overlap between {a!r} and {b!r}")
         return
@@ -487,108 +500,96 @@ def estimate_weighted_measure(region, samples=200_000, rng=None):
     return vol * float(np.mean(w)), vol * float(np.std(w)) / math.sqrt(samples)
 
 
-# -- symmetric differences -------------------------------------------------
+# -- common refinement -----------------------------------------------------
 
-def _interval_list(region):
-    out = []
-    for p in region.parts:
-        if not isinstance(p, _RADIAL):
-            return None
-        lo, hi = _radial_interval(p)
-        if hi > lo:
-            out.append((lo, hi))
-    return sorted(out)
-
-
-def _interval_symdiff(xs, ys):
-    cuts = sorted({c for iv in xs + ys for c in iv})
-    out = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        mid = 0.5 * (lo + hi)
-        in_x = any(a <= mid < b for a, b in xs)
-        in_y = any(a <= mid < b for a, b in ys)
-        if in_x != in_y:
-            if out and out[-1][1] == lo:
-                out[-1] = (out[-1][0], hi)
-            else:
-                out.append((lo, hi))
-    return out
-
-
-def _box_grid_symdiff(r1, r2):
-    boxes1 = [p for p in r1.parts if isinstance(p, AxisBox)]
-    boxes2 = [p for p in r2.parts if isinstance(p, AxisBox)]
-    if not boxes1 and not boxes2:
+def _painted_cells(fparts, gparts, bounds, make):
+    # Parts are axis intervals [lo, hi), with bounds(part) = (lo, hi) as
+    # scalars (one axis) or vectors.  The cuts on each axis are compressed,
+    # each side adds its values over the grid slice of every part, and
+    # make(lo, hi) builds the cells where either side is nonzero, in C order.
+    pairs = fparts + gparts
+    if not pairs:
         return []
-    n = r1.dim
-    cuts = []
-    for ax in range(n):
-        vals = {b.lo[ax] for b in boxes1 + boxes2}
-        vals |= {b.hi[ax] for b in boxes1 + boxes2}
-        cuts.append(sorted(vals))
-    out = []
-    for idx in np.ndindex(*[len(c) - 1 for c in cuts]):
-        lo = np.array([cuts[ax][i] for ax, i in enumerate(idx)])
-        hi = np.array([cuts[ax][i + 1] for ax, i in enumerate(idx)])
-        mid = 0.5 * (lo + hi)[None, :]
-        in1 = any(bool(part_contains(b, mid)[0]) for b in boxes1)
-        in2 = any(bool(part_contains(b, mid)[0]) for b in boxes2)
-        if in1 != in2:
-            out.append(AxisBox(lo, hi))
-    return out
+    spans = np.array([bounds(p) for _, p in pairs], float).reshape(len(pairs), 2, -1)
+    cuts = [np.unique(spans[:, :, ax]) for ax in range(spans.shape[2])]
+    slots = np.stack([np.searchsorted(c, spans[:, :, ax]) for ax, c in enumerate(cuts)], 2)
+    sides = np.zeros((2,) + tuple(len(c) - 1 for c in cuts))
+    for k, ((value, _), (start, stop)) in enumerate(zip(pairs, slots.tolist())):
+        sides[(int(k >= len(fparts)),) + tuple(map(slice, start, stop))] += value
+    a, b = sides
+    idx = np.argwhere((a != 0.0) | (b != 0.0))
+    cell_lo = np.stack([c[i] for c, i in zip(cuts, idx.T)], 1).tolist()
+    cell_hi = np.stack([c[i + 1] for c, i in zip(cuts, idx.T)], 1).tolist()
+    at = tuple(idx.T)
+    return [(make(lo, hi), va, vb) for lo, hi, va, vb
+            in zip(cell_lo, cell_hi, a[at].tolist(), b[at].tolist())]
 
 
-def _polygon_list(region):
-    out = []
-    for p in region.parts:
-        poly = _as_polygon(p)
-        if poly is None:
-            return None
-        out.append(poly)
-    return out
-
-
-def _polygon_symdiff(ps, qs):
-    pieces = []
-    for p in ps:
+def _clipped_cells(fpolys, gpolys):
+    cells = []
+    for va, p in fpolys:
         rest = [p]
-        for q in qs:
+        for vb, q in gpolys:
+            inter = intersect_polygons(p, q)
+            if inter is not None:
+                cells.append((Polytope(inter), va, vb))
             rest = [piece for r in rest for piece in subtract_polygon(r, q)]
-        pieces.extend(rest)
-    for q in qs:
+        for r in rest:
+            cells.append((Polytope(r), va, 0.0))
+    for vb, q in gpolys:
         rest = [q]
-        for p in ps:
+        for _, p in fpolys:
             rest = [piece for r in rest for piece in subtract_polygon(r, p)]
-        pieces.extend(rest)
-    return [Polytope(p) for p in pieces]
+        for r in rest:
+            cells.append((Polytope(r), 0.0, vb))
+    return cells
+
+
+def refinement_cells(fparts, gparts, dim):
+    """Common refinement of two lists of ``(value, part)`` pairs.
+
+    Returns the ``(part, a, b)`` cells of one disjoint partition, where
+    ``a`` and ``b`` are each side's summed values on the cell; cells
+    where both sides vanish are left out.  One of three exact algebras
+    must hold every part.  Radial parts are the 1-axis intervals
+    ``[inner, outer)`` in |x| and axis boxes the n-axis intervals
+    ``[lo, hi)``; both are painted on one grid of compressed cuts, so
+    the cost follows the number of cells.  2D boxes and polygons are
+    clipped against each other by half-planes.  Returns None when no
+    algebra fits.
+    """
+    parts = [p for _, p in fparts + gparts]
+    if all(isinstance(p, _RADIAL) for p in parts):
+        return _painted_cells(fparts, gparts, radial_interval,
+                              lambda lo, hi: radial_part(dim, lo[0], hi[0]))
+    if all(isinstance(p, AxisBox) for p in parts):
+        return _painted_cells(fparts, gparts, lambda box: (box.lo, box.hi), AxisBox)
+    fpolys = [(v, _as_polygon(p)) for v, p in fparts]
+    gpolys = [(v, _as_polygon(p)) for v, p in gparts]
+    if all(p is not None for _, p in fpolys + gpolys):
+        return _clipped_cells(fpolys, gpolys)
+    return None
 
 
 def symmetric_difference(r1, r2):
-    """Exact symmetric difference within the supported part algebra.
+    """Exact symmetric difference, read from the common refinement.
 
-    Radial parts go through interval arithmetic on radii, axis boxes
-    through the shared coordinate grid, and 2D boxes/polytopes through
-    half-plane clipping.  Anything else raises a capability error
-    naming the Monte Carlo fallback.
+    Every part of each region carries the value 1.0, and the cells of
+    ``refinement_cells`` where exactly one side is nonzero are kept:
+    grid cells for radial parts and axis boxes, clipped pieces for 2D
+    boxes and polygons.  Anything else raises a capability error naming
+    the Monte Carlo fallback.
     """
     if r1.dim != r2.dim:
         raise DomainError("dimensions disagree")
-    xs, ys = _interval_list(r1), _interval_list(r2)
-    if xs is not None and ys is not None:
-        parts = []
-        for lo, hi in _interval_symdiff(xs, ys):
-            parts.append(OriginBall(r1.dim, hi) if lo == 0.0
-                         else Annulus(r1.dim, lo, hi))
-        return Region(parts, dim=r1.dim)
-    if (all(isinstance(p, AxisBox) for p in r1.parts)
-            and all(isinstance(p, AxisBox) for p in r2.parts)):
-        return Region(_box_grid_symdiff(r1, r2), dim=r1.dim)
-    ps, qs = _polygon_list(r1), _polygon_list(r2)
-    if ps is not None and qs is not None:
-        return Region(_polygon_symdiff(ps, qs), dim=2)
-    raise CapabilityError(
-        "symmetric difference outside the radial/box/2D-polygon algebra; "
-        "use estimate_symmetric_difference (Monte Carlo) instead")
+    cells = refinement_cells([(1.0, p) for p in r1.parts],
+                             [(1.0, p) for p in r2.parts], r1.dim)
+    if cells is None:
+        raise CapabilityError(
+            "symmetric difference outside the radial/box/2D-polygon algebra; "
+            "use estimate_symmetric_difference (Monte Carlo) instead")
+    return Region([part for part, a, b in cells if (a == 0.0) != (b == 0.0)],
+                  dim=r1.dim)
 
 
 def estimate_symmetric_difference(r1, r2, samples=200_000, rng=None):
@@ -638,10 +639,7 @@ def cube_cover(poly, depth):
     xs = (np.arange(i_lo, i_hi + 1) * h)
     ys = (np.arange(j_lo, j_hi + 1) * h)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    inside = np.ones(gx.shape, bool)
-    for i in range(len(v)):
-        e = v[(i + 1) % len(v)] - v[i]
-        inside &= (e[0] * (gy - v[i][1]) - e[1] * (gx - v[i][0])) >= -1e-12
+    inside = _in_convex_polygon(v, gx, gy)
     cell = inside[:-1, :-1] & inside[1:, :-1] & inside[:-1, 1:] & inside[1:, 1:]
     boxes = []
     for i in range(cell.shape[0]):

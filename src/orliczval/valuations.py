@@ -25,7 +25,13 @@ from .functions import GridFunction, SimpleFunction, lattice_max_min
 from .norms import modular, orlicz_norm
 from .numerics import solve_monotone
 from .polytopes import Polytope, UnimodularMap
-from .regions import Annulus, OriginBall, Region, ShiftedBall, unit_ball_volume
+from .regions import (
+    Region,
+    ShiftedBall,
+    radial_interval,
+    radial_part,
+    unit_ball_volume,
+)
 
 _WITNESS_GRID = (1e-6, 1e6, 241)
 
@@ -509,16 +515,6 @@ def divergent_truncation(plan, J, abs_tol=1e-6):
     }
 
 
-def _radial_interval(part):
-    if isinstance(part, OriginBall):
-        return 0.0, part.radius
-    if isinstance(part, Annulus):
-        return part.inner, part.outer
-    raise DomainError(
-        "continuity probing needs radially supported functions "
-        "(origin balls and annuli)")
-
-
 def continuity_probe(xi, phi, h, K):
     """Annular truncations h_k of h and their distance to h.
 
@@ -534,8 +530,11 @@ def continuity_probe(xi, phi, h, K):
     if values and min(values) < 0.0 < max(values):
         raise DomainError("probe is defined for one-signed functions; "
                           "split into positive and negative parts first")
-    intervals = [(v, _radial_interval(p))
-                 for v, region in h.terms for p in region.parts]
+    intervals = [(v, radial_interval(p)) for v, region in h.terms for p in region.parts]
+    if any(iv is None for _, iv in intervals):
+        raise DomainError(
+            "continuity probing needs radially supported functions "
+            "(origin balls and annuli)")
     rows = []
     for k in range(K + 1):
         lo_cut = 2.0 ** -(k + 1)
@@ -543,17 +542,11 @@ def continuity_probe(xi, phi, h, K):
         tail_terms = []
         for v, (a, b) in intervals:
             if a < lo_cut:
-                tail_terms.append((v, _interval_part(h.dim, a, min(b, lo_cut))))
+                tail_terms.append((v, radial_part(h.dim, a, min(b, lo_cut))))
             if b > hi_cut:
-                tail_terms.append((v, _interval_part(h.dim, max(a, hi_cut), b)))
+                tail_terms.append((v, radial_part(h.dim, max(a, hi_cut), b)))
         tail = SimpleFunction(h.dim, [(v, Region([p])) for v, p in tail_terms])
         norm_tail = orlicz_norm(phi, tail)
         psi_gap = float(np.max(np.abs(psi(xi, tail)))) if tail.terms else 0.0
         rows.append({"k": k, "norm_tail": norm_tail, "psi_gap": psi_gap})
     return rows
-
-
-def _interval_part(dim, a, b):
-    if a == 0.0:
-        return OriginBall(dim, b)
-    return Annulus(dim, a, b)

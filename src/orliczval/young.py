@@ -321,10 +321,6 @@ class ConjugatePair:
         self.phi = phi
         self.phi_star = phi.conjugate() if phi_star is None else phi_star
 
-    @classmethod
-    def of(cls, phi):
-        return cls(phi)
-
     def gap(self, s, t):
         """``phi(s) + phi*(t) - s*t``; nonnegative, zero at ``t = phi'(s)``."""
         return self.phi.eval(s) + self.phi_star.eval(t) - s * t

@@ -186,7 +186,9 @@ def test_homogeneity_over_eighty_binary_orders(k):
             assert math.isclose(scaled, s ** (n + 1) * base, rel_tol=1e-12)
     for tet in _TETRAHEDRA:
         base, _ = _hull_mu(tet, 1e-12)
-        scaled, _ = _hull_mu(s * np.asarray(tet), 1e-12 * s ** 4)
+        poly = Polytope(s * np.asarray(tet))
+        assert poly.rank == 3 and len(poly.vertices) == 4
+        scaled, _ = part_weighted_measure(poly, 1e-12 * s ** 4)
         assert math.isclose(scaled, s ** 4 * base, rel_tol=1e-12)
 
 

@@ -8,6 +8,7 @@ from orliczval.errors import DomainError
 from orliczval.polytopes import (
     PlanarCoefficients,
     Polytope,
+    affine_rank,
     cone_hull,
     continuity_constraint_system,
     convex_hull_2d,
@@ -129,6 +130,19 @@ def test_hull_degenerate_inputs():
     assert pt.rank == 0
     assert pt.volume() == 0.0
     assert seg.volume() == 0.0
+
+
+def test_small_polytopes_keep_their_rank_near_and_far_from_the_origin():
+    tet = np.array([[-0.3, -0.2, -0.1], [0.7, -0.1, 0.0], [0.1, 0.8, -0.2], [0.0, 0.1, 0.9]])
+    for offset, s in ((0.0, 2.0 ** -40), (0.0, 1e-6), (1e4, 1e-6), (1.0, 1e-9)):
+        p = Polytope(offset + s * tet)
+        assert p.rank == 3 and len(p.vertices) == 4, (offset, s)
+        assert math.isclose(p.volume(), s ** 3 * 0.1615, rel_tol=1e-5), (offset, s)
+    # a tilted flat set far out stays rank 2: its roundoff (~1e-12) is not a third axis
+    u, v = np.array([1.0, 2.0, 2.0]) / 3.0, np.array([2.0, 1.0, -2.0]) / 3.0
+    flat = np.outer(tet[:, 0], u) + np.outer(tet[:, 1], v)
+    for s in (1.0, 1e-4, 1e-6):
+        assert affine_rank(1e4 + s * flat) == 2, s
 
 
 def test_origin_classification():
