@@ -18,7 +18,7 @@ from .errors import (
     OrliczvalError,
     WitnessNotFoundError,
 )
-from .numerics import minimize_unimodal, solve_monotone
+from .numerics import solve_monotone
 from .young import (
     ConjugatePair,
     DensityYoung,

@@ -55,6 +55,10 @@ _DEFAULTS = {
     "tol-root": 1e-12,
 }
 
+# Each continuity depth quadruples cube_cover's corner grid: depth 12
+# peaks near 0.75 GB and depth 14 would need about 12 GB.
+_MAX_DEPTH = 12
+
 
 def _load_config(path):
     """Flat key=value lines; blank lines and # comments ignored."""
@@ -294,7 +298,7 @@ def cmd_norm(ns, settings):
         raise OrliczvalError("give --simple or --indicator")
     report = {
         "luxemburg": luxemburg_norm(phi, h, rel_tol=rel_tol, abs_tol=abs_tol),
-        "orlicz": orlicz_norm(phi, h, abs_tol=abs_tol),
+        "orlicz": orlicz_norm(phi, h, rel_tol=rel_tol, abs_tol=abs_tol),
         "modular": modular(phi, h, abs_tol=abs_tol),
     }
     _emit(report, [], settings)
@@ -365,6 +369,9 @@ def _suite_kwargs(name, ns, settings):
             kwargs["terms"] = ns.J
     elif name == "continuity":
         if ns.depth is not None:
+            if not 0 <= ns.depth <= _MAX_DEPTH:
+                raise OrliczvalError(
+                    f"--depth must lie in 0..{_MAX_DEPTH}, got {ns.depth}")
             kwargs["depth"] = ns.depth
     return kwargs
 
@@ -420,7 +427,7 @@ def build_parser():
     common.add_argument("--tol-residual", type=float,
                         help="identity residual threshold")
     common.add_argument("--tol-root", type=float,
-                        help="relative root/minimisation tolerance")
+                        help="relative tolerance of the norm root solves")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -474,7 +481,9 @@ def build_parser():
     p.add_argument("--maps", type=int, help="covariance suite size")
     p.add_argument("--cases", type=int, help="lemma3 suite size")
     p.add_argument("--J", type=int, help="lemma15 term count")
-    p.add_argument("--depth", type=int, help="continuity cover depth")
+    p.add_argument("--depth", type=int,
+                   help=f"continuity cover depth, 0 to {_MAX_DEPTH} "
+                        f"(default {_MAX_DEPTH})")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -3,9 +3,12 @@
 The modular of ``h`` is the weighted integral of ``phi(|h|)``; for a
 simple function that is a finite sum of exact or quadrature-controlled
 region measures, for a grid function a cellwise sum.  Two norms are
-built on it: the gauge norm scales ``h`` until the modular hits one,
-and the averaged norm minimises ``(1 + modular(k*h)) / k`` over
-``k > 0``.  They are equivalent within a factor of two.
+built on it, and both are monotone root problems for
+:func:`~orliczval.numerics.solve_monotone`: the gauge norm ``1/u`` with
+``modular(u*h) = 1``, and the averaged norm ``(1 + modular(k*h)) / k``
+at the ``k`` where, by Young's equality, the conjugate modular
+``sum mu_i phi*(phi'(k v_i))`` reaches one.  They are equivalent within
+a factor of two.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .functions import GridFunction, SimpleFunction, difference
-from .numerics import minimize_unimodal, solve_monotone
+from .numerics import solve_monotone
 from .regions import Region
 
 
@@ -36,6 +39,13 @@ def _atoms(h, abs_tol):
     raise DomainError(f"cannot take atoms of {type(h).__name__}")
 
 
+def _weighted_sum(f, t, mus):
+    """``sum f(t_i) * mu_i``; overflow gives ``inf``, and so does ``inf - inf``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.asarray(f(t))
+        return float(np.sum(np.where(np.isnan(y), np.inf, y) * mus))
+
+
 def modular(phi, h, abs_tol=1e-9):
     """Weighted integral of ``phi(|h|)``.
 
@@ -46,52 +56,47 @@ def modular(phi, h, abs_tol=1e-9):
     vals, mus = _atoms(h, abs_tol)
     if len(vals) == 0:
         return 0.0
-    return float(np.sum(np.asarray(phi.eval(vals)) * mus))
+    return _weighted_sum(phi.eval, vals, mus)
 
 
 def luxemburg_norm(phi, h, rel_tol=1e-10, abs_tol=1e-9):
-    """Gauge norm: the ``k`` with ``modular(h / k) = 1``.
+    """Gauge norm ``1/u`` for the ``u`` with ``modular(u * h) = 1``.
 
-    Zero functions have norm zero.  The modular is strictly decreasing
-    in ``k`` and runs from infinity to zero, so bracketing bisection
+    Zero functions have norm zero.  The modular is increasing in ``u``
+    and runs from zero to infinity, so the root solve from ``u = 0``,
+    whose bracket starts at ``1 / max|h|`` and doubles as needed,
     always lands on the unique root.
     """
     vals, mus = _atoms(h, abs_tol)
     if len(vals) == 0:
         return 0.0
-
-    def rho(k):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return float(np.sum(np.asarray(phi.eval(vals / k)) * mus))
-
-    lo = float(np.max(vals))
-    for _ in range(4000):
-        if rho(lo) >= 1.0 or lo == 0.0:
-            break
-        lo /= 2.0
-    return solve_monotone(rho, 1.0, lo=lo, hi=2.0 * lo,
-                          rel_tol=rel_tol, increasing=False)
+    u = solve_monotone(lambda u: _weighted_sum(phi.eval, u * vals, mus), 1.0,
+                       lo=0.0, hi=1.0 / float(np.max(vals)), rel_tol=rel_tol)
+    return 1.0 / u
 
 
 def orlicz_norm(phi, h, rel_tol=1e-12, abs_tol=1e-9):
     """Averaged norm ``inf_k (1 + modular(k * h)) / k``.
 
-    The objective tends to infinity as ``k`` tends to zero and, because
-    the generating density is unbounded, also as ``k`` grows, so the
-    scan-plus-golden-section minimiser sees an interior minimum.
+    The derivative of the objective vanishes where
+    ``sum mu_i phi*(phi'(k v_i)) = 1``, and by Young's equality
+    ``phi*(phi'(t)) = t phi'(t) - phi(t)``, so no conjugate is needed.
+    The left side is nondecreasing in ``k``, zero at ``k = 0`` and
+    unbounded because ``phi'`` is, so one monotone root solve from
+    ``k = 0`` finds the minimiser.  Where ``phi'`` is flat the root is
+    not unique, but every root gives the same minimum.
     """
     vals, mus = _atoms(h, abs_tol)
     if len(vals) == 0:
         return 0.0
 
-    def objective(k):
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = float(np.sum(np.asarray(phi.eval(k * vals)) * mus))
-        return (1.0 + m) / k
+    def conjugate_modular(k):
+        return _weighted_sum(lambda t: t * phi.density(t) - phi.eval(t),
+                             k * vals, mus)
 
-    k0 = 1.0 / float(np.max(vals))
-    _, best = minimize_unimodal(objective, rel_tol=rel_tol, k0=k0)
-    return best
+    k = solve_monotone(conjugate_modular, 1.0, lo=0.0,
+                       hi=1.0 / float(np.max(vals)), rel_tol=rel_tol)
+    return (1.0 + _weighted_sum(phi.eval, k * vals, mus)) / k
 
 
 def indicator_norm(phi, region, abs_tol=1e-9, rel_tol=1e-12):
@@ -128,7 +133,7 @@ def norm_report(phi, h, abs_tol=1e-9):
         return {"luxemburg": 0.0, "orlicz": orl, "ratio": float("nan"),
                 "equivalence_ok": orl == 0.0, "modular_at_luxemburg": 0.0}
     vals, mus = _atoms(h, abs_tol)
-    mod_at = float(np.sum(np.asarray(phi.eval(vals / lux)) * mus))
+    mod_at = _weighted_sum(phi.eval, vals / lux, mus)
     slack = 1e-9 * max(1.0, lux)
     ok = (lux <= orl + slack) and (orl <= 2.0 * lux + slack)
     return {"luxemburg": lux, "orlicz": orl, "ratio": orl / lux,

@@ -1,25 +1,20 @@
-"""Root finding and one-dimensional minimisation.
+"""Root finding.
 
-All root finding in the package goes through :func:`solve_monotone`:
-bracketing bisection with relative tolerance ``1e-12`` and geometric
-bracket expansion by a factor of 2.  One-dimensional minimisation of
-unimodal objectives goes through :func:`minimize_unimodal`, a golden
-section search on the logarithmic axis.
+Every one-dimensional solve in the package goes through
+:func:`solve_monotone`: bracketing bisection with relative tolerance
+``1e-12`` and geometric bracket expansion by a factor of 2.  Both norms
+and the inverse of a Young function are monotone root problems.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import BracketError
 
 _REL_TOL = 1e-12
 _EXPANSION = 2.0
 _MAX_EXPANSIONS = 2000
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def solve_monotone(f, target, lo=0.0, hi=None, rel_tol=_REL_TOL, increasing=True):
@@ -96,42 +91,3 @@ def solve_monotone(f, target, lo=0.0, hi=None, rel_tol=_REL_TOL, increasing=True
             hi = mid
     return 0.5 * (lo + hi)
 
-
-def minimize_unimodal(f, rel_tol=1e-12, k0=1.0, span=2.0 ** 60):
-    """Minimise a unimodal ``f`` over ``(0, inf)``.
-
-    A coarse geometric scan locates a three-point bracket around the
-    minimiser, which golden-section search then shrinks to relative
-    width ``rel_tol``.  Works on the log axis, so the tolerance is
-    relative to the minimiser.
-
-    Returns ``(argmin, min_value)``.
-    """
-    lo, hi = k0 / span, k0 * span
-    ulo, uhi = math.log(lo), math.log(hi)
-    m = max(int((uhi - ulo) / math.log(2.0)), 8)
-    us = np.linspace(ulo, uhi, m + 1)
-    vals = [f(math.exp(u)) for u in us]
-    i = int(np.argmin(vals))
-    if not math.isfinite(vals[i]):
-        raise BracketError("objective not finite anywhere on the scan grid")
-    if i == 0 or i == m:
-        raise BracketError(
-            f"minimiser at scan edge k = {math.exp(us[i])!r}; widen the span"
-        )
-    a, b = us[i - 1], us[i + 1]
-    # Golden-section on [a, b] in log space.
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(math.exp(x1)), f(math.exp(x2))
-    while b - a > rel_tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(math.exp(x1))
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(math.exp(x2))
-    k = math.exp(0.5 * (a + b))
-    return k, f(k)

@@ -50,8 +50,13 @@ def convex_hull_2d(points):
     pts = np.unique(np.asarray(points, float), axis=0)
     if len(pts) <= 2:
         return pts
-    eps = _eps(pts)
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    # relative to the points' own extent, so a small polygon keeps its area,
+    # and above the roundoff of cross products of coordinates of size |x|
+    x0, x1 = float(pts[0, 0]), float(pts[-1, 0])
+    y0, y1 = float(pts[:, 1].min()), float(pts[:, 1].max())
+    extent = max(x1 - x0, y1 - y0)
+    eps = 1e-12 * extent * max(extent, -x0, x1, -y0, y1)
 
     def build(seq):
         out = []

@@ -154,7 +154,7 @@ def suite_covariance(count=100, seed=13, residual_max=1e-9, dims=(2, 3)):
 
 
 def suite_norm_agreement(cases=50, seed=3, rel_max=1e-8):
-    """Closed-form indicator norm versus direct minimisation."""
+    """Closed-form indicator norm versus the averaged-norm root solve."""
     rng = np.random.default_rng(seed)
     phis = [lambda r: PowerYoung(1.5, r.uniform(0.5, 2.0)),
             lambda r: PowerYoung(2.0, r.uniform(0.5, 2.0)),

@@ -167,6 +167,32 @@ def test_cli_norm_disk(capsys):
     assert set(doc) == {"luxemburg", "orlicz", "modular"}
 
 
+def test_cli_norm_tol_root_from_config_reaches_both_norms(
+        tmp_path, capsys, monkeypatch):
+    import orliczval.cli as cli
+
+    seen = {}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            seen[name] = kwargs.get("rel_tol")
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "orlicz_norm", spy("orlicz", cli.orlicz_norm))
+    monkeypatch.setattr(cli, "luxemburg_norm",
+                        spy("luxemburg", cli.luxemburg_norm))
+    cfg = tmp_path / "orlicz.cfg"
+    cfg.write_text("tol-root = 1e-6\n")
+    monkeypatch.setenv("ORLICZVAL_CONFIG", str(cfg))
+    rc, out, _ = run_cli(capsys, "norm", "--phi", "power:2",
+                         "--indicator", "ball:1", "--dim", "2")
+    assert rc == 0
+    assert seen == {"orlicz": 1e-6, "luxemburg": 1e-6}
+    assert json.loads(out)["orlicz"] == pytest.approx(
+        math.sqrt(2.0 * DISK_MU), rel=1e-9)
+
+
 def test_cli_psi_matches_library(tmp_path, capsys):
     tri = Polytope([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
     h = SimpleFunction(2, [(1.5, Region([tri]))])
@@ -211,6 +237,20 @@ def test_cli_verify_continuity_red(capsys):
     assert doc["ok"] is False
     assert doc["first_failure"]["failed_checks"] == [
         "below_1e-3_at_final_depth"]
+
+
+def test_cli_verify_continuity_rejects_depth_out_of_range(capsys, monkeypatch):
+    import orliczval.suites as suites
+
+    def no_cover(*args, **kwargs):
+        raise AssertionError("a cover was built for a rejected depth")
+
+    monkeypatch.setattr(suites, "cube_cover", no_cover)
+    for depth in ("-1", "40"):
+        rc, out, err = run_cli(capsys, "verify", "continuity", "--depth", depth)
+        assert rc == 2
+        assert out == ""
+        assert err == f"orliczval: --depth must lie in 0..12, got {depth}\n"
 
 
 def test_cli_verify_csv_rerun_identical(tmp_path, capsys):

@@ -3,8 +3,9 @@
 Oracles: hand-derived closed forms for the weighted measure of disks
 (2*pi*r**3/3) and for the p = 2 norms (gauge norm v*sqrt(mu/2), averaged
 norm v*sqrt(2*mu) for a height-v indicator), direct substitution checks
-that the gauge-norm defining equation holds at the computed value, and
-Monte Carlo integration of phi(|h|)*|x|.
+that the gauge-norm defining equation holds at the computed value,
+Monte Carlo integration of phi(|h|)*|x|, and scipy's bounded Brent
+minimiser of (1 + modular(k*h)) / k for the averaged norm.
 """
 
 import math
@@ -12,7 +13,12 @@ import math
 import numpy as np
 import pytest
 
-from orliczval.errors import CapabilityError, DisjointnessError, DomainError
+from orliczval.errors import (
+    CapabilityError,
+    DensityResolutionError,
+    DisjointnessError,
+    DomainError,
+)
 from orliczval.functions import (
     GridFunction,
     SimpleFunction,
@@ -60,6 +66,42 @@ def _ring(a, b, dim=2):
 
 def _box(lo, hi):
     return Region([AxisBox(lo, hi)])
+
+
+def _shells(values, measures):
+    """Concentric planar shells from the origin, shell i of weighted measure mu_i."""
+    terms, r = [], 0.0
+    for v, mu in zip(values, measures):
+        outer = (r ** 3 + 3.0 * mu / (2.0 * math.pi)) ** (1.0 / 3.0)
+        terms.append((v, _ring(r, outer)))
+        r = outer
+    return SimpleFunction(2, terms)
+
+
+def _reference_orlicz(phi, h):
+    """``inf_k (1 + sum mu_i phi(k v_i)) / k`` by scipy's bounded Brent on log k.
+
+    A scan over e^-60 ... e^60 times ``1 / max v`` brackets the minimiser
+    of the quasi-convex objective; it shares no code with the library's
+    norm solvers.
+    """
+    from scipy.optimize import minimize_scalar
+
+    vals = np.array([abs(v) for v, _ in h.terms])
+    mus = np.array([r.weighted_measure().value for _, r in h.terms])
+
+    def objective(u):
+        k = math.exp(u)
+        with np.errstate(over="ignore"):
+            return (1.0 + float(np.sum(np.asarray(phi.eval(k * vals)) * mus))) / k
+
+    grid = -math.log(float(np.max(vals))) + np.linspace(-60.0, 60.0, 241)
+    i = int(np.argmin([objective(u) for u in grid]))
+    assert 0 < i < len(grid) - 1
+    with np.errstate(invalid="ignore"):  # the bracket may reach phi's overflow
+        res = minimize_scalar(objective, bounds=(grid[i - 1], grid[i + 1]),
+                              method="bounded", options={"xatol": 1e-10})
+    return float(res.fun)
 
 
 def test_simple_function_drops_trivial_terms():
@@ -235,13 +277,17 @@ def test_gauge_equation_holds_at_computed_norm():
 
 
 def test_modular_at_luxemburg_is_one_across_families():
-    h = SimpleFunction(2, [(2.0, _ball(1.0)), (0.5, _ring(1.0, 2.0))])
-    for phi in (PowerYoung(2.0), PowerYoung(3.5, 0.4),
-                ExpYoung(0.5, 2.0), LogYoung(2.0, 1.0)):
-        report = norm_report(phi, h)
-        assert math.isclose(report["modular_at_luxemburg"], 1.0, rel_tol=1e-7)
-        assert report["equivalence_ok"]
-        assert 1.0 - 1e-9 <= report["ratio"] <= 2.0 + 1e-9
+    # values near 1e3 on measures near 1e-4 put the root u = 1/norm many
+    # doublings above the solve's first bracket 1 / max|h|
+    unit = SimpleFunction(2, [(2.0, _ball(1.0)), (0.5, _ring(1.0, 2.0))])
+    large = _shells([1e3, 7e2, 2e2], [1e-4, 3e-4, 2e-4])
+    for h, tol in ((unit, 1e-7), (large, 1e-8)):
+        for phi in (PowerYoung(2.0), PowerYoung(3.5, 0.4),
+                    ExpYoung(0.5, 2.0), LogYoung(2.0, 1.0)):
+            report = norm_report(phi, h)
+            assert math.isclose(report["modular_at_luxemburg"], 1.0, rel_tol=tol)
+            assert report["equivalence_ok"]
+            assert 1.0 - 1e-9 <= report["ratio"] <= 2.0 + 1e-9
 
 
 def test_indicator_norm_matches_minimisation():
@@ -255,6 +301,50 @@ def test_indicator_norm_matches_minimisation():
             closed = indicator_norm(phi, region)
             minimised = orlicz_norm(phi, f)
             assert math.isclose(closed, minimised, rel_tol=1e-8), (region, phi)
+
+
+def test_orlicz_norm_matches_an_independent_minimiser():
+    rng = np.random.default_rng(8)
+    families = (
+        lambda: PowerYoung(rng.uniform(1.2, 5.0), rng.uniform(0.3, 3.0)),
+        lambda: ExpYoung(rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)),
+        lambda: LogYoung(rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0)),
+        lambda: DensityYoung(np.column_stack((
+            np.linspace(0.0, 3.0, 7),
+            np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 2.0, 6))))))),
+    )
+    for case in range(200):
+        phi = families[case % 4]()
+        n = int(rng.integers(1, 12))
+        h = _shells(10.0 ** rng.uniform(-3.0, 3.0, n),
+                    10.0 ** rng.uniform(-4.0, 3.0, n))
+        want = _reference_orlicz(phi, h)
+        assert math.isclose(orlicz_norm(phi, h), want, rel_tol=1e-10), (case, phi)
+
+
+def test_orlicz_norm_on_a_flat_density_where_the_root_is_not_unique():
+    # phi' = 1 on [1, 2], where t phi'(t) - phi(t) = 1/2; with mu = 2 every
+    # k in [1/v, 2/v] solves Young's equality and gives the same norm 2v.
+    phi = DensityYoung([[0.0, 0.0], [1.0, 1.0], [2.0, 1.0], [3.0, 2.0]])
+    region = _ball((3.0 / math.pi) ** (1.0 / 3.0))
+    with pytest.raises(DensityResolutionError):
+        indicator_norm(phi, region)
+    for v in (1e-3, 0.7, 5.0, 1e3):
+        h = SimpleFunction.indicator(region, v)
+        got = orlicz_norm(phi, h)
+        assert math.isclose(got, _reference_orlicz(phi, h), rel_tol=1e-10), v
+        assert math.isclose(got, 2.0 * v, rel_tol=1e-10), v
+
+
+def test_orlicz_norm_where_the_density_overflows():
+    # phi' overflows before the root, and t phi'(t) - phi(t) is inf - inf there
+    phi = ExpYoung(1.0, 1.0)
+    region = _ball(1e-100)
+    got = orlicz_norm(phi, SimpleFunction.indicator(region))
+    assert math.isclose(got, 0.0014651789556935435, rel_tol=1e-12)
+    assert math.isclose(got, indicator_norm(phi, region), rel_tol=1e-10)
+    assert math.isclose(got, _reference_orlicz(phi, SimpleFunction.indicator(region)),
+                        rel_tol=1e-10)
 
 
 def test_indicator_norm_closed_form_power_two():

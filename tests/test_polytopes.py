@@ -143,6 +143,14 @@ def test_small_polytopes_keep_their_rank_near_and_far_from_the_origin():
     flat = np.outer(tet[:, 0], u) + np.outer(tet[:, 1], v)
     for s in (1.0, 1e-4, 1e-6):
         assert affine_rank(1e4 + s * flat) == 2, s
+    # the planar hull's tolerance follows the points' extent, not unit scale
+    p = Polytope(1e4 + 1e-6 * tet * [1.0, 1.0, 0.0])
+    assert p.rank == 2 and len(p.vertices) == 3
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    for s in (2.0 ** -40, 1e-6, 1e-3, 1.0, 1e3, 1e6):
+        p = Polytope(s * tri)
+        assert p.rank == 2 and len(p.vertices) == 3, s
+        assert math.isclose(p.volume(), 0.5 * s * s, rel_tol=1e-12), s
 
 
 def test_origin_classification():
