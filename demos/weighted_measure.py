@@ -55,7 +55,7 @@ print(f"  Monte Carlo  {mc:.12f} +- {sd:.1e} "
       f"({abs(mc - m.value) / sd:.2f} sigma)")
 
 print()
-print("=== shifted balls reduce to a 1D cap profile ===")
+print("=== shifted balls reduce to one integral over their sphere ===")
 ball = ShiftedBall(2, 0.5, 3.0)  # radius 0.5, centred at 3*e_1
 m = Region([ball]).weighted_measure()
 # center value times volume brackets the truth within r per unit volume

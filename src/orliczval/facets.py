@@ -1,44 +1,43 @@
-"""The |x|-weighted measure of boxes and polytopes by Euler's facet reduction.
+"""The |x|-weighted measure of boxes, polytopes and balls by Euler's boundary reduction.
 
-``|x|`` is homogeneous of degree 1, so the divergence theorem applied to
-``x |x|`` gives, for a convex polytope ``P`` in R^n,
+``div(|x| x) = (n+1) |x|``, so for a bounded convex set ``K`` in R^n
 
-    integral_P |x| dx = 1/(n+1) * sum_F h_F * integral_F |y| dsigma(y),
+    integral_K |x| dx = 1/(n+1) * integral_dK |y| (y . nu) dsigma(y)
 
-where ``F`` runs over the facets and ``h_F`` is the signed distance from
-the origin to the facet's hyperplane, positive when the origin lies on
-the inner side (Lasserre, *Integration on a convex polytope*, Proc. AMS
-126, 1998; Chin, Lasserre & Sukumar, Comput. Mech. 56, 2015).
-
-On a facet ``|y|^2 = h_F^2 + |y - p_F|^2``, where ``p_F`` is the foot of
-the origin on the facet's hyperplane, and ``|y|`` is analytic with a
-radius proportional to ``|y|``.  So the integrand comes nearest to a
-singularity at the point ``c_F`` of the facet nearest ``p_F``.  Each
-facet is cut into cones with apex ``c_F`` over pieces of its boundary,
-every piece starting at its point nearest the origin, and each cone is
-integrated in collapsed (Duffy) coordinates
+(Lasserre, *Integration on a convex polytope*, Proc. AMS 126, 1998;
+Chin, Lasserre & Sukumar, Comput. Mech. 56, 2015).  On a polytope's
+facet ``F``, ``y . nu = h_F`` is the signed distance from the origin to
+its hyperplane, and ``|y|^2 = h_F^2 + |y - p_F|^2`` with ``p_F`` the foot
+of the origin, so ``|y|`` comes nearest to a singularity at the facet's
+point ``c_F`` nearest ``p_F``.  Each facet is cut into cones with apex
+``c_F`` over pieces of its boundary, every piece starting at its point
+nearest the origin, and each cone is integrated in collapsed (Duffy)
+coordinates
 
     y = c + t * (w_0 + sum_i u_i w_i),   dsigma = J * t^(n-2) dt du,
 
 with ``w_0 = g - c`` from the apex to the piece's near corner ``g`` and
-``w_i`` the piece's edges.  Tensor Gauss-Legendre rules run on a mesh of
-the parameter cube ``(t, u)`` in [0, 1]^(n-1) that is graded
-geometrically towards 0 down to the relative distance of the nearest
-singularity (Duffy, SIAM J. Numer. Anal. 19, 1982).  Every cell is
-integrated at two orders; the higher one is the value, and their
-difference plus a roundoff term ``eps * sum_F |h_F I_F|`` is the error
-bound.  Cells over their share of the tolerance are bisected until the
-bound meets it.
+``w_i`` the piece's edges (Duffy, SIAM J. Numer. Anal. 19, 1982).  On a
+ball's sphere the reduction leaves one integral over the polar angle
+(``ball_weighted_measure``).
+
+One driver integrates every cone and ball over [0, 1]^d: tensor
+Gauss-Legendre rules at two orders on a mesh graded geometrically
+towards 0 down to the relative distance of the nearest singularity.  The
+higher order is the value, and the difference plus ``32 eps * sum
+|cell|`` is the error bound; cells over their share of the tolerance are
+bisected until the bound meets it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
-from .errors import AccuracyError
+from .errors import AccuracyError, DomainError
 
 
 def _gauss(order):
@@ -49,11 +48,24 @@ def _gauss(order):
 # The difference of the two orders bounds the error of the lower one, which
 # is far above that of the higher one wherever the rules converge.
 _RULES = (_gauss(8), _gauss(12))
+_NODES = np.concatenate([x for x, _ in _RULES])
+_WEIGHTS = np.zeros((len(_NODES), 2))
+_WEIGHTS[:8, 0], _WEIGHTS[8:, 1] = _RULES[0][1], _RULES[1][1]
 _ROUNDOFF = 32.0 * np.finfo(float).eps
 _MAX_LEVELS = 60         # geometric grading levels per parameter axis
 _MAX_ROUNDS = 24         # bisection rounds before giving up
 _MAX_CELLS = 40000       # live cells before giving up
 _CHUNK_POINTS = 1 << 17  # quadrature points evaluated per numpy batch
+
+
+def unit_ball_volume(n):
+    """Volume of the n-dimensional unit ball by the two-step recurrence."""
+    if n < 1 or n != int(n):
+        raise DomainError("dimension must be a positive integer")
+    vols = {1: 2.0, 2: math.pi}
+    for k in range(3, int(n) + 1):
+        vols[k] = 2.0 * math.pi * vols[k - 2] / k
+    return vols[int(n)]
 
 
 # -- cones of a box --------------------------------------------------------
@@ -163,43 +175,42 @@ def hull_weighted_measure(points, simplices, equations, abs_tol):
     return _integrate_cones(apex[live], basis[live], weight[live], abs_tol)
 
 
-# -- graded tensor Gauss on the cones --------------------------------------
+# -- the sphere bounding a ball --------------------------------------------
 
-def _initial_cells(apex, basis, weight, abs_tol):
-    """A-priori graded mesh of each cone's parameter cube [0, 1]^d.
+def ball_weighted_measure(n, radius, offset, abs_tol):
+    """Integral of |x| over the ball of radius ``r`` centred at distance ``c > 0``.
 
-    Axis ``t`` is graded by the apex's distance from the origin, axis
-    ``u_i`` by the near corner's: an axis with a singularity at relative
-    distance ``rho`` gets ``k`` levels, cut at ``2^-k, ..., 1/2``, with
-    ``2^-k <= 2 rho``.  So the innermost cell lies at least half its
-    width from the singularity and every other cell at least its width.
-    Returns the cone index, lower corner and width of every cell.
+    At the angle ``phi`` from the sphere's point nearest the origin,
+    ``y . nu = r - c cos(phi)`` and ``|y| = rho = sqrt((c - r)^2 + 4 c r
+    sin^2(phi / 2))``.  As ``rho - c = r (r - 2c cos(phi)) / (rho + c)``,
+    ``rho (y . nu)`` is ``r`` times the positive integrand below plus
+    ``-c^2 cos(phi)``, which integrates to 0 against ``sin^(n-2)``:
+
+        mu = r^n (n-1) omega_(n-1) / (n+1) * integral_0^pi
+             [rho - c cos(phi) (r - 2c cos(phi)) / (rho + c)] sin^(n-2) dphi.
+
+    The mesh is graded towards ``phi = 0`` by the distance ``|c - r| /
+    sqrt(c r)`` of the branch points.  Returns ``(value, error_bound)``.
     """
-    d = basis.shape[1]
-    length = np.sqrt(np.einsum("min,min->mi", basis, basis))
-    size = np.sum(length, axis=1)
-    r_apex = np.sqrt(np.einsum("mn,mn->m", apex, apex))
-    near = apex + basis[:, 0]
-    rho = np.column_stack([r_apex / size]
-                          + [np.sqrt(np.einsum("mn,mn->m", near, near)) / length[:, i]
-                             for i in range(1, d)])
-    # grading stops where a whole cell is far under the tolerance
-    mag = np.abs(weight) * (r_apex + size)
-    deep = np.minimum(_MAX_LEVELS, np.ceil(np.log2(np.maximum(mag / (1e-3 * abs_tol), 1.0))))
-    cap = np.column_stack([np.ceil(deep / d)] + [deep] * (d - 1))
-    levels = np.clip(np.ceil(-np.log2(np.maximum(2.0 * rho, 1e-300))), 0.0, cap).astype(np.intp)
-    # cell c of a cone is its mixed-radix number over the axes' piece counts
-    count = levels + 1
-    stride = np.cumprod(count[:, ::-1], axis=1)[:, ::-1]
-    total = stride[:, 0]
-    stride = np.column_stack([stride[:, 1:], np.ones(len(count), np.intp)])
-    idx = np.repeat(np.arange(len(weight)), total)
-    c = np.arange(len(idx)) - np.repeat(np.cumsum(total) - total, total)
-    pos = (c[:, None] // stride[idx]) % count[idx]
-    top = 2.0 ** (pos - levels[idx])             # upper end 2^-(k - pos)
-    lo = np.where(pos == 0, 0.0, 0.5 * top)
-    return idx, lo, top - lo
+    r, c = float(radius), abs(float(offset))
+    weight = r ** n * (n - 1) * unit_ball_volume(n - 1) / (n + 1) * math.pi
+    if weight == 0.0:
+        return 0.0, 0.0
 
+    def values(idx, lo, wid):
+        # both orders in one pass: the nodes side by side, a weight column each
+        phi = math.pi * (lo + wid * _NODES)
+        cos = np.cos(phi)
+        rho = np.sqrt((c - r) ** 2 + 4.0 * c * r * np.sin(0.5 * phi) ** 2)
+        f = (rho - c * cos * (r - 2.0 * c * cos) / (rho + c)) * np.sin(phi) ** (n - 2)
+        return (f @ _WEIGHTS).T * (weight * wid[:, 0])
+
+    gap = abs(c - r) / (math.pi * math.sqrt(c) * math.sqrt(r))
+    return _integrate(values, np.array([[gap]]), np.array([weight * (3.0 * c + 2.0 * r)]),
+                      abs_tol)
+
+
+# -- graded tensor Gauss on [0, 1]^d ---------------------------------------
 
 def _cell_values(cones, idx, lo, wid):
     """Both Gauss orders on every cell, as an array of shape (2, cells).
@@ -249,18 +260,59 @@ def _integrate_cones(apex, basis, weight, abs_tol):
     """Sum over cones of ``weight * integral_[0,1]^d t^(n-2) |y(t, u)|``.
 
     ``y = apex + t * (basis[0] + sum_i u_i basis[i])``; ``weight`` holds
-    ``h_F / (n+1)`` times the cone's Jacobian.
+    ``h_F / (n+1)`` times the cone's Jacobian.  The mesh grades axis
+    ``t`` by the apex's distance from the origin and axis ``u_i`` by the
+    near corner's.
     """
     if len(weight) == 0:
         return 0.0, 0.0
     d = basis.shape[1]
+    length = np.sqrt(np.einsum("min,min->mi", basis, basis))
+    size = np.sum(length, axis=1)
+    r_apex = np.sqrt(np.einsum("mn,mn->m", apex, apex))
+    near = apex + basis[:, 0]
+    rho = np.column_stack([r_apex / size]
+                          + [np.sqrt(np.einsum("mn,mn->m", near, near)) / length[:, i]
+                             for i in range(1, d)])
     cones = (np.einsum("mn,mn->m", apex, apex), np.einsum("mn,min->mi", apex, basis),
              np.einsum("min,mjn->mij", basis, basis), weight, apex.shape[1])
-    idx, lo, wid = _initial_cells(apex, basis, weight, abs_tol)
+    return _integrate(functools.partial(_cell_values, cones), rho,
+                      np.abs(weight) * (r_apex + size), abs_tol)
+
+
+def _integrate(values, rho, mag, abs_tol):
+    """Sum of integrals over [0, 1]^d by two-order Gauss on graded cells.
+
+    ``rho[m, i]`` is the relative distance from 0 of integrand ``m``'s
+    nearest singularity along axis ``i``, and ``mag[m]`` bounds its
+    integral.  Such an axis starts with ``k`` levels, cut at ``2^-k, ...,
+    1/2``, with ``2^-k <= 2 rho``, so the innermost cell lies at least
+    half its width from the singularity and every other cell at least
+    its width.  ``values(idx, lo, wid)`` returns both orders on the cells
+    with integrand ``idx``, lower corner ``lo`` and width ``wid`` as an
+    array of shape (2, cells).  Cells are bisected until the bound meets
+    ``abs_tol``.  Returns ``(value, error_bound)``.
+    """
+    d = rho.shape[1]
+    # grading stops where a whole cell is far under the tolerance
+    deep = np.minimum(_MAX_LEVELS, np.ceil(np.log2(np.maximum(mag / (1e-3 * abs_tol), 1.0))))
+    cap = np.column_stack([np.ceil(deep / d)] + [deep] * (d - 1))
+    levels = np.clip(np.ceil(-np.log2(np.maximum(2.0 * rho, 1e-300))), 0.0, cap).astype(np.intp)
+    # cell c of an integrand is its mixed-radix number over the axes' piece counts
+    count = levels + 1
+    stride = np.cumprod(count[:, ::-1], axis=1)[:, ::-1]
+    cells = stride[:, 0]
+    stride = np.column_stack([stride[:, 1:], np.ones(len(count), np.intp)])
+    idx = np.repeat(np.arange(len(mag)), cells)
+    c = np.arange(len(idx)) - np.repeat(np.cumsum(cells) - cells, cells)
+    pos = (c[:, None] // stride[idx]) % count[idx]
+    top = 2.0 ** (pos - levels[idx])             # upper end 2^-(k - pos)
+    lo = np.where(pos == 0, 0.0, 0.5 * top)
+    wid = top - lo
     value, err, absum = 0.0, 0.0, 0.0
     share = None
     for _ in range(_MAX_ROUNDS):
-        coarse, fine = _cell_values(cones, idx, lo, wid)
+        coarse, fine = values(idx, lo, wid)
         diff = np.abs(fine - coarse)
         if share is None:
             total = float(np.sum(np.abs(fine)))
@@ -291,5 +343,5 @@ def _integrate_cones(apex, basis, weight, abs_tol):
         wid = np.repeat(half, len(kids), axis=0)
         idx = np.repeat(idx, len(kids))
     raise AccuracyError(
-        f"facet reduction cannot reach abs_tol={abs_tol!r}: the Gauss-order "
+        f"boundary reduction cannot reach abs_tol={abs_tol!r}: the Gauss-order "
         f"differences and the roundoff term stay above it")

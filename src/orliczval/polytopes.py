@@ -78,8 +78,9 @@ def polygon_area(v):
     v = np.asarray(v, float)
     if len(v) < 3:
         return 0.0
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    # fanned from a vertex, so a small polygon far from the origin keeps its area
+    x, y = (v[1:] - v[0]).T
+    return 0.5 * float(x[:-1] @ y[1:] - y[:-1] @ x[1:])
 
 
 def polygon_moment(v):

@@ -4,9 +4,9 @@ A Region is a disjoint union of primitive parts.  Origin-centered balls
 and annuli, axis boxes, shifted balls on the first axis, and convex
 polytopes cover everything the valuation machinery needs.  Each part
 knows its weighted measure with an explicit error bound: in closed form
-for radial sets and 2D polygons, by Euler's facet reduction with Gauss
-rules for boxes in dimension >= 3 and 3D polytopes (see ``facets``), and
-by a 1D radial quadrature for shifted balls.
+for radial sets and 2D polygons, and by Euler's boundary reduction with
+Gauss rules for boxes in dimension >= 3, 3D polytopes and shifted balls
+(see ``facets``).
 
 The common refinement of two lists of valued parts lives here too, in
 one cell engine (``refinement_cells``) that ``functions.refine`` and
@@ -21,15 +21,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import (
-    AccuracyError,
     CapabilityError,
     DisjointnessError,
     DomainError,
 )
-from .facets import box_weighted_measure, hull_weighted_measure
+from .facets import (
+    ball_weighted_measure,
+    box_weighted_measure,
+    hull_weighted_measure,
+    unit_ball_volume,
+)
 from .polytopes import (
     Polytope,
     intersect_polygons,
@@ -37,41 +40,6 @@ from .polytopes import (
     polygon_weighted_measure,
     subtract_polygon,
 )
-
-
-def unit_ball_volume(n):
-    """Volume of the n-dimensional unit ball by the two-step recurrence."""
-    if n < 1 or n != int(n):
-        raise DomainError("dimension must be a positive integer")
-    vols = {1: 2.0, 2: math.pi}
-    for k in range(3, int(n) + 1):
-        vols[k] = 2.0 * math.pi * vols[k - 2] / k
-    return vols[int(n)]
-
-
-def _sin_power_integral(m, alpha):
-    # int_0^alpha sin^m t dt for alpha in [0, pi], via the incomplete beta
-    if alpha <= 0.0:
-        return 0.0
-    alpha = min(alpha, math.pi)
-    if m == 0:
-        return alpha
-    if m == 1:
-        return 1.0 - math.cos(alpha)
-    full = special.beta((m + 1) / 2.0, 0.5)
-
-    def half(a):
-        s2 = math.sin(a) ** 2
-        return 0.5 * full * special.betainc((m + 1) / 2.0, 0.5, s2)
-
-    if alpha <= math.pi / 2.0:
-        return half(alpha)
-    return full - half(math.pi - alpha)
-
-
-def _cap_area(n, alpha):
-    # surface area of {u in S^{n-1}: angle(u, pole) <= alpha}
-    return (n - 1) * unit_ball_volume(n - 1) * _sin_power_integral(n - 2, alpha)
 
 
 class OriginBall:
@@ -168,15 +136,13 @@ _RADIAL = (OriginBall, Annulus)
 
 
 def part_lebesgue(part):
-    if isinstance(part, OriginBall):
+    if isinstance(part, (OriginBall, ShiftedBall)):
         return unit_ball_volume(part.dim) * part.radius ** part.dim
     if isinstance(part, Annulus):
         return unit_ball_volume(part.dim) * (part.outer ** part.dim
                                              - part.inner ** part.dim)
     if isinstance(part, AxisBox):
         return float(np.prod(part.hi - part.lo))
-    if isinstance(part, ShiftedBall):
-        return unit_ball_volume(part.dim) * part.radius ** part.dim
     if isinstance(part, Polytope):
         return part.volume()
     raise DomainError(f"unknown region part {part!r}")
@@ -188,45 +154,14 @@ def _radial_weighted(n, inner, outer):
     return n * w * (outer ** (n + 1) - inner ** (n + 1)) / (n + 1)
 
 
-def _shifted_ball_weighted(ball, abs_tol):
-    n, r, c = ball.dim, ball.radius, abs(ball.offset)
-    if r == 0.0:
-        return 0.0, 0.0
-    if c == 0.0:
-        return _radial_weighted(n, 0.0, r), 0.0
-    lam = unit_ball_volume(n) * r ** n
-    if c >= r and r * lam <= 0.5 * abs_tol:
-        # |x| varies by at most r across the ball, so the midpoint value
-        # is already within tolerance; quadrature on an interval this
-        # narrow would only accumulate roundoff.
-        return c * lam, r * lam
-
-    def integrand(s):
-        if s <= 0.0:
-            return 0.0
-        cos_a = (s * s + c * c - r * r) / (2.0 * s * c)
-        alpha = math.acos(min(1.0, max(-1.0, cos_a)))
-        return s ** n * _cap_area(n, alpha)
-
-    lo, hi = abs(c - r), c + r
-    value, err = integrate.quad(integrand, lo, hi,
-                                epsabs=abs_tol * 0.5, epsrel=1e-12, limit=200)
-    if c < r:
-        # the sphere of radius s is swallowed whole below s = r - c
-        value += _radial_weighted(n, 0.0, r - c)
-    if err > abs_tol:
-        raise AccuracyError(
-            f"shifted-ball quadrature error {err:.3e} exceeds {abs_tol:.3e}")
-    return value, err
-
-
 def part_weighted_measure(part, abs_tol=1e-9):
     """Integral of |x| over one part, returned as (value, error bound).
 
-    Radial sets, 2D boxes and 2D polygons are closed forms with bound 0.
-    Boxes in dimension >= 3 and full-rank 3D polytopes go through Euler's
-    facet reduction (``facets``), whose bound never exceeds ``abs_tol``;
-    lower-rank polytopes have measure 0.  Raises ``AccuracyError`` when a
+    Radial sets (centred balls included), 2D boxes and 2D polygons are
+    closed forms with bound 0.  Boxes in dimension >= 3, full-rank 3D
+    polytopes and shifted balls go through Euler's boundary reduction
+    (``facets``), whose bound never exceeds ``abs_tol``; lower-rank
+    polytopes have measure 0.  Raises ``AccuracyError`` when a
     quadrature cannot meet ``abs_tol``, and ``CapabilityError`` for
     full-rank polytopes above dimension 3.
     """
@@ -239,7 +174,9 @@ def part_weighted_measure(part, abs_tol=1e-9):
             return polygon_weighted_measure(part.corners_polygon()), 0.0
         return box_weighted_measure(part.lo, part.hi, abs_tol)
     if isinstance(part, ShiftedBall):
-        return _shifted_ball_weighted(part, abs_tol)
+        if part.offset == 0.0:
+            return _radial_weighted(part.dim, 0.0, part.radius), 0.0
+        return ball_weighted_measure(part.dim, part.radius, part.offset, abs_tol)
     if isinstance(part, Polytope):
         if part.dim == 2:
             return part.weighted_measure(), 0.0

@@ -25,6 +25,7 @@ from .regions import (
     Region,
     cube_cover,
     part_weighted_measure,
+    radial_part,
     unit_ball_volume,
 )
 from .valuations import (
@@ -40,18 +41,12 @@ from .valuations import (
 from .young import ExpYoung, LogYoung, PowerYoung, limit_report
 
 
-def _ring_region(dim, a, b):
-    if a == 0.0:
-        return Region([OriginBall(dim, b)])
-    return Region([Annulus(dim, a, b)])
-
-
 def _random_radial_pair(rng, dim):
     cuts = np.sort(rng.uniform(0.05, 4.0, size=4))
     f = SimpleFunction(dim, [(rng.uniform(-2.0, 2.0),
-                              _ring_region(dim, cuts[0], cuts[2]))])
+                              Region([radial_part(dim, cuts[0], cuts[2])]))])
     g = SimpleFunction(dim, [(rng.uniform(-2.0, 2.0),
-                              _ring_region(dim, cuts[1], cuts[3]))])
+                              Region([radial_part(dim, cuts[1], cuts[3])]))])
     return f, g
 
 

@@ -388,11 +388,6 @@ class DivergencePlan:
     def ball(self, j):
         return ShiftedBall(self.dim, self.radii[j], self.centers[j])
 
-    def ratios(self):
-        c = np.asarray(self.centers)
-        r = np.asarray(self.radii)
-        return c / (c + r)
-
     def validate(self):
         n = len(self.betas)
         if not (len(self.exponents) == len(self.budgets) == len(self.centers)
@@ -469,9 +464,9 @@ def divergent_truncation(plan, J, abs_tol=1e-6):
     together with the closed-form cap sum of 2**-i_j <= 1, and the
     first moment coordinate with its per-term lower bounds
     c_j / (c_j + r_j), all as a row table.  The modular tolerance is
-    deliberately coarse: splitting a tight budget over many balls runs
-    the ball quadrature into roundoff, and the only claim made about
-    the modular is its distance to the closed-form cap.
+    coarse because the only claim made about the modular is its
+    distance to the closed-form cap; it is split over the balls, and
+    a tolerance down to about 1e-12 can still be met.
     """
     if not 1 <= J <= len(plan):
         raise DomainError(f"J must lie in [1, {len(plan)}]")

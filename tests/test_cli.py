@@ -312,6 +312,16 @@ def test_cli_module_entry_point():
     assert json.loads(proc.stdout)["value"] == 0.5
 
 
+def test_cli_cold_import_leaves_out_the_quadrature_package():
+    # no region kind needs QUADPACK, so a cold start must not pay for it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, orliczval.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_seventeen_digit_floats(capsys):
     rc, out, _ = run_cli(capsys, "moment", "--poly", "[[0,0],[1,0],[0,1]]")
     assert rc == 0

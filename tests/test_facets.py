@@ -1,14 +1,17 @@
-"""Euler's facet reduction for the |x|-weighted measure of boxes and polytopes.
+"""Euler's boundary reduction for the |x|-weighted measure of boxes, polytopes and balls.
 
-The reference below shares no code with ``orliczval.facets``: it
-integrates ``|x|`` over the box itself, in closed form along the first
-axis and by tensor Gauss-Legendre over the other axes, on cells refined
-geometrically towards the corner where the closed form's ``r^2 log r``
-singularity sits.
+The references below share no code with ``orliczval.facets``.  The box
+reference integrates ``|x|`` over the box itself, in closed form along
+the first axis and by tensor Gauss-Legendre over the other axes, on
+cells refined geometrically towards the corner where the closed form's
+``r^2 log r`` singularity sits.  Balls are checked against the 3D closed
+form and, in n = 2 and 4, against QUADPACK on the volume integral in
+polar coordinates about the ball's centre.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +21,14 @@ from scipy.spatial import ConvexHull
 from orliczval.errors import AccuracyError, CapabilityError
 from orliczval.facets import box_weighted_measure, hull_weighted_measure
 from orliczval.polytopes import Polytope, polygon_weighted_measure
-from orliczval.regions import AxisBox, Region, part_weighted_measure, weighted_measure
+from orliczval.regions import (
+    AxisBox,
+    Region,
+    ShiftedBall,
+    part_weighted_measure,
+    unit_ball_volume,
+    weighted_measure,
+)
 
 
 # -- independent reference -------------------------------------------------
@@ -258,3 +268,92 @@ def test_four_dimensional_polytope_names_monte_carlo():
     with pytest.raises(CapabilityError) as info:
         part_weighted_measure(simplex)
     assert "estimate_weighted_measure" in str(info.value)
+
+
+# -- shifted balls ---------------------------------------------------------
+
+def _exact_ball_mu_3d(r, c):
+    # mu of the 3D ball of radius r centred at distance c, from the mean of
+    # |x| over a sphere; the rational part is exact in the float inputs
+    r, c = Fraction(r), Fraction(c)
+    if c >= r:
+        q = r ** 3 * c / 3 + r ** 5 / (15 * c)
+    else:
+        q = 2 * c ** 4 / 5 + (r ** 4 - c ** 4) / 4 + c ** 2 * (r ** 2 - c ** 2) / 6
+    return 4.0 * math.pi * float(q)
+
+
+def _polar_ball_mu(n, r, c):
+    # int_0^r s^(n-1) int_(S^(n-1)) |c e_1 + s u| du ds, the sphere integral
+    # reduced to the angle t from e_1; split at s = c, where |x| has its kink
+    sphere = {2: 2.0, 4: 4.0 * math.pi}[n]  # area of S^(n-2)
+
+    def f(t, s):
+        return (s ** (n - 1) * math.sqrt(c * c + s * s + 2.0 * c * s * math.cos(t))
+                * math.sin(t) ** (n - 2))
+
+    cuts = [0.0, c, r] if c < r else [0.0, r]
+    return sphere * sum(integrate.dblquad(f, a, b, 0.0, math.pi, epsabs=0.0, epsrel=1e-13)[0]
+                        for a, b in zip(cuts, cuts[1:]))
+
+
+_BALLS = ((0.5, 2.0), (1.0, 0.3), (0.7, 0.7), (0.2, 0.2 + 1e-6), (1e-3, 5.0),
+          (1.0, 1e-3), (2.0, 1.9))
+
+
+def test_ball_matches_the_3d_closed_form_on_a_seeded_sweep():
+    rng = np.random.default_rng(2024)
+    for _ in range(400):
+        r, c = 10.0 ** rng.uniform(-4.0, 0.5), 10.0 ** rng.uniform(-3.0, 2.0)
+        exact = _exact_ball_mu_3d(r, c)
+        for abs_tol in (1e-9, 1e-12):
+            try:
+                value, bound = part_weighted_measure(ShiftedBall(3, r, c), abs_tol)
+            except AccuracyError:
+                # only where no float64 answer of this size meets abs_tol
+                assert abs_tol < 1e-14 * exact, (r, c, abs_tol)
+                continue
+            assert bound <= abs_tol
+            assert abs(value - exact) <= bound, (r, c, abs_tol, value, exact, bound)
+
+
+def test_small_far_ball_at_a_tight_tolerance():
+    exact = 2.0943951191483564e-08
+    assert math.isclose(_exact_ball_mu_3d(1e-3, 5.0), exact, rel_tol=1e-15)
+    value, bound = part_weighted_measure(ShiftedBall(3, 1e-3, 5.0), abs_tol=1e-12)
+    assert bound <= 1e-12
+    assert abs(value - exact) <= bound
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_ball_matches_a_polar_volume_integral(n):
+    for r, c in _BALLS:
+        ref = _polar_ball_mu(n, r, c)
+        value, bound = part_weighted_measure(ShiftedBall(n, r, c), 1e-12 * ref)
+        assert bound <= 1e-12 * ref
+        assert math.isclose(value, ref, rel_tol=1e-10), (n, r, c, value, ref)
+
+
+@pytest.mark.parametrize("k", [-40, -20, -7, 0, 7, 20, 40])
+def test_ball_homogeneity_over_eighty_binary_orders(k):
+    s = 2.0 ** k
+    for n in (2, 3, 4):
+        for r, c in _BALLS:
+            tol = 1e-12 * unit_ball_volume(n) * r ** n * (r + c)  # mu is below 1e12 tol
+            base, _ = part_weighted_measure(ShiftedBall(n, r, c), tol)
+            scale = s ** (n + 1)
+            scaled, bound = part_weighted_measure(ShiftedBall(n, s * r, s * c), tol * scale)
+            assert bound <= tol * scale
+            assert math.isclose(scaled, scale * base, rel_tol=1e-12), (n, r, c)
+
+
+def test_ball_accuracy_error_only_below_roundoff():
+    for n in (2, 3, 4, 5, 6, 7):
+        for r, c in _BALLS + ((1e-9, 150.0), (1.0, 1.0 - 1e-14), (1.0, 1.0 + 1e-14)):
+            ball = ShiftedBall(n, r, c)
+            mu, _ = part_weighted_measure(ball, 1e-3 * unit_ball_volume(n) * r ** n * (r + c))
+            for rel in (1e-14, 1e-12, 1e-9):
+                _, bound = part_weighted_measure(ball, rel * mu)
+                assert bound <= rel * mu
+            with pytest.raises(AccuracyError):
+                part_weighted_measure(ball, 5e-15 * mu)

@@ -153,6 +153,20 @@ def test_small_polytopes_keep_their_rank_near_and_far_from_the_origin():
         assert math.isclose(p.volume(), 0.5 * s * s, rel_tol=1e-12), s
 
 
+def test_polygon_area_of_small_polygons_far_from_the_origin():
+    # the shoelace sum must not run over absolute coordinates, whose products
+    # (~1e8 at offset 1e4) round off more than a 1e-6 triangle's area
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    for offset in (0.0, 1.0, -3e2, 1e4, -1e4, 1e5):
+        for s in (1e-6, 1e-3, 1.0):
+            p = Polytope(offset + s * tri)
+            assert p.rank == 2 and len(p.vertices) == 3, (offset, s)
+            v = [(Fraction(x), Fraction(y)) for x, y in p.vertices.tolist()]
+            exact = sum(x0 * y1 - x1 * y0
+                        for (x0, y0), (x1, y1) in zip(v, v[1:] + v[:1])) / 2
+            assert math.isclose(p.volume(), float(exact), rel_tol=1e-12), (offset, s)
+
+
 def test_origin_classification():
     assert Polytope([[0, 0], [1, 0], [0, 1]]).origin_class() == "vertex"
     assert Polytope([[-1, 0], [1, 0], [0, 1]]).origin_class() == "boundary"

@@ -25,7 +25,6 @@ from orliczval.regions import (
     unit_ball_volume,
     weighted_measure,
 )
-from orliczval.regions import _sin_power_integral
 
 
 # -- oracles ---------------------------------------------------------------
@@ -126,13 +125,6 @@ def test_weighted_measure_shifted_ball_against_monte_carlo():
 def test_weighted_measure_shifted_ball_centered_reduces_to_ball():
     val, bound = part_weighted_measure(ShiftedBall(3, 1.0, 0.0))
     assert val == math.pi and bound == 0.0
-
-
-def test_sin_power_integral_matches_quadrature():
-    for m in range(0, 7):
-        for alpha in (0.0, 0.3, math.pi / 2.0, 2.0, math.pi):
-            want, _ = integrate.quad(lambda t: math.sin(t) ** m, 0.0, alpha)
-            assert abs(_sin_power_integral(m, alpha) - want) < 1e-12
 
 
 # -- moments ---------------------------------------------------------------
