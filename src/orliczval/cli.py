@@ -55,9 +55,10 @@ _DEFAULTS = {
     "tol-root": 1e-12,
 }
 
-# Each continuity depth quadruples cube_cover's corner grid: depth 12
-# peaks near 0.75 GB and depth 14 would need about 12 GB.
-_MAX_DEPTH = 12
+# cube_cover's time and memory are linear in its 2^depth grid columns, and
+# the continuity suite builds every depth up to the last: depth 16 takes a
+# few seconds and about 0.1 GB, and each further level doubles both.
+_MAX_DEPTH = 16
 
 
 def _load_config(path):
@@ -482,8 +483,7 @@ def build_parser():
     p.add_argument("--cases", type=int, help="lemma3 suite size")
     p.add_argument("--J", type=int, help="lemma15 term count")
     p.add_argument("--depth", type=int,
-                   help=f"continuity cover depth, 0 to {_MAX_DEPTH} "
-                        f"(default {_MAX_DEPTH})")
+                   help=f"continuity cover depth, 0 to {_MAX_DEPTH} (default 12)")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -204,12 +204,16 @@ def part_moment(part):
     raise DomainError(f"unknown region part {part!r}")
 
 
-def _in_convex_polygon(v, x, y):
-    # on or left of every edge of the ccw polygon v, to an absolute 1e-12
+def _polygon_edges(v):
+    # (start, direction) of each edge of the ccw polygon v
+    return [(v[i], v[(i + 1) % len(v)] - v[i]) for i in range(len(v))]
+
+
+def _left_of(edges, x, y):
+    # on or left of every edge, to an absolute 1e-12
     inside = np.ones(np.shape(x), bool)
-    for i in range(len(v)):
-        e = v[(i + 1) % len(v)] - v[i]
-        inside &= (e[0] * (y - v[i][1]) - e[1] * (x - v[i][0])) >= -1e-12
+    for p, e in edges:
+        inside &= (e[0] * (y - p[1]) - e[1] * (x - p[0])) >= -1e-12
     return inside
 
 
@@ -228,7 +232,7 @@ def part_contains(part, points):
         return np.sum(d * d, axis=1) <= part.radius ** 2
     if isinstance(part, Polytope):
         if part.dim == 2 and part.rank == 2:
-            return _in_convex_polygon(part.vertices, pts[:, 0], pts[:, 1])
+            return _left_of(_polygon_edges(part.vertices), pts[:, 0], pts[:, 1])
         if part.rank == part.dim:
             return part.contains_points(pts)
         return np.array([part.contains(p) for p in pts], dtype=bool)
@@ -553,13 +557,36 @@ def estimate_symmetric_difference(r1, r2, samples=200_000, rng=None):
 
 # -- dyadic cube covers ----------------------------------------------------
 
+def _first_true(ok, n, m):
+    # least j in 0..n, for each of m columns, with ok(j) true, where ok is
+    # false then true along j and ok(n) is taken as true: vectorised bisection
+    lo = np.zeros(m, np.int64)
+    hi = np.full(m, n, np.int64)
+    for _ in range(int(n).bit_length()):
+        mid = (lo + hi) // 2
+        t = ok(mid)
+        hi = np.where(t, mid, hi)
+        lo = np.where(t, lo, np.minimum(mid + 1, hi))  # settled columns stay
+    return lo
+
+
 def cube_cover(poly, depth):
     """Inner cover of a 2D polytope by half-open dyadic squares.
 
     Squares of side 2^-depth whose four corners all lie in the closed
-    polytope are kept and merged rowwise into boxes, so the part count
-    stays linear in the grid resolution.  The cover is contained in the
-    polytope and its area defect shrinks monotonically with depth.
+    polytope (the membership predicate of ``part_contains``) are kept and
+    merged columnwise into boxes, so the part count stays linear in the
+    grid resolution.  The cover is contained in the polytope and its area
+    defect shrinks monotonically with depth.
+
+    By convexity the inside corners of each grid column form one run of
+    rows: each edge's test is monotone in y, also in float arithmetic, so
+    edges pointing right fix the run's lower end, edges pointing left its
+    upper end, and vertical edges decide the whole column.  Both ends are
+    found by bisection for all columns at once, and column i keeps the
+    rows that the runs of corner columns i and i+1 share.  Time and memory
+    are linear in the number of grid columns (times the edge count and
+    depth for the time); the corner grid itself is never built.
     """
     if not isinstance(poly, Polytope) or poly.dim != 2:
         raise DomainError("cube covers are built for 2D polytopes")
@@ -575,14 +602,14 @@ def cube_cover(poly, depth):
     j_hi = math.ceil(v[:, 1].max() / h)
     xs = (np.arange(i_lo, i_hi + 1) * h)
     ys = (np.arange(j_lo, j_hi + 1) * h)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    inside = _in_convex_polygon(v, gx, gy)
-    cell = inside[:-1, :-1] & inside[1:, :-1] & inside[:-1, 1:] & inside[1:, 1:]
-    boxes = []
-    for i in range(cell.shape[0]):
-        row = cell[i]
-        edges = np.flatnonzero(np.diff(np.concatenate(([False], row, [False]))
-                                       .astype(np.int8)))
-        for start, stop in zip(edges[::2], edges[1::2]):
-            boxes.append(AxisBox([xs[i], ys[start]], [xs[i + 1], ys[stop]]))
-    return Region(boxes, dim=2)
+    edges = _polygon_edges(v)
+    lower = [(p, e) for p, e in edges if e[0] >= 0]
+    upper = [(p, e) for p, e in edges if e[0] < 0]
+    a = _first_true(lambda j: _left_of(lower, xs, (j_lo + j) * h),
+                    len(ys), len(xs))
+    b = _first_true(lambda j: ~_left_of(upper, xs, (j_lo + j) * h),
+                    len(ys), len(xs))
+    start = np.maximum(a[:-1], a[1:])
+    stop = np.minimum(b[:-1], b[1:]) - 1
+    return Region([AxisBox([xs[i], ys[start[i]]], [xs[i + 1], ys[stop[i]]])
+                   for i in np.flatnonzero(start < stop)], dim=2)

@@ -246,11 +246,11 @@ def test_cli_verify_continuity_rejects_depth_out_of_range(capsys, monkeypatch):
         raise AssertionError("a cover was built for a rejected depth")
 
     monkeypatch.setattr(suites, "cube_cover", no_cover)
-    for depth in ("-1", "40"):
+    for depth in ("-1", "17", "40"):
         rc, out, err = run_cli(capsys, "verify", "continuity", "--depth", depth)
         assert rc == 2
         assert out == ""
-        assert err == f"orliczval: --depth must lie in 0..12, got {depth}\n"
+        assert err == f"orliczval: --depth must lie in 0..16, got {depth}\n"
 
 
 def test_cli_verify_csv_rerun_identical(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,6 +336,83 @@ def test_cube_cover_monotone_and_inner():
             inside_poly = part_contains(tri, pts)
             assert not np.any(inside_cover & ~inside_poly)
     assert prev <= tri.volume() + 1e-12
+
+
+def _corner_grid_cover(poly, depth):
+    # the full corner-grid cover: every grid corner tested, four-corner
+    # cells kept and merged per column into half-open runs
+    h = 2.0 ** (-depth)
+    v = poly.vertices
+    xs = np.arange(math.floor(v[:, 0].min() / h), math.ceil(v[:, 0].max() / h) + 1) * h
+    ys = np.arange(math.floor(v[:, 1].min() / h), math.ceil(v[:, 1].max() / h) + 1) * h
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    inside = np.ones(gx.shape, bool)
+    for i in range(len(v)):
+        e = v[(i + 1) % len(v)] - v[i]
+        inside &= (e[0] * (gy - v[i][1]) - e[1] * (gx - v[i][0])) >= -1e-12
+    cell = inside[:-1, :-1] & inside[1:, :-1] & inside[:-1, 1:] & inside[1:, 1:]
+    lo, hi = [], []
+    for i in range(cell.shape[0]):
+        row = cell[i]
+        edges = np.flatnonzero(np.diff(np.concatenate(([False], row, [False]))
+                                       .astype(np.int8)))
+        for start, stop in zip(edges[::2], edges[1::2]):
+            lo.append([xs[i], ys[start]])
+            hi.append([xs[i + 1], ys[stop]])
+    return np.array(lo).reshape(-1, 2), np.array(hi).reshape(-1, 2)
+
+
+def _cover_shapes():
+    c, s = math.cos(0.3), math.sin(0.3)
+    shapes = [
+        [[0, 0], [1, 0], [0, 1]],
+        [[0, 0], [1, 0], [1, 1], [0, 1]],
+        [[0, 0], [2, 0], [2, 1], [0, 1]],
+        [[1 + 0.7 * (c * x - s * y), 1 + 0.7 * (s * x + c * y)]
+         for x, y in ((-1, -1), (1, -1), (1, 1), (-1, 1))],
+        [[0.3, 0.2], [0.301, 0.2], [0.3, 0.201]],
+        [[0.1, 0.25], [0.6, 0.25], [0.35, 0.25 + 1e-9]],
+        [[0.5, 0.0], [0.5 + 1e-9, 0.0], [0.5, 0.2]],
+        [[-1, -0.5], [0.7, -1], [0.2, 0.9]],
+        [[-1, -1], [-0.25, -1], [-0.25, 0.5], [-1, 0.5]],
+    ]
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        pts = rng.uniform(-1.0, 1.0, (int(rng.integers(3, 9)), 2))
+        shapes.append(pts * rng.uniform(0.05, 1.0) + rng.uniform(-0.5, 0.5, 2))
+    return [Polytope(np.asarray(v, float)) for v in shapes]
+
+
+def test_cube_cover_matches_the_corner_grid_cover():
+    shapes = _cover_shapes()
+    assert len(shapes) == 69
+    nonempty = 0
+    for poly in shapes:
+        assert poly.rank == 2
+        assert np.ptp(poly.vertices, axis=0).max() <= 2.0
+        for depth in range(10):
+            want_lo, want_hi = _corner_grid_cover(poly, depth)
+            cover = cube_cover(poly, depth)
+            got_lo = np.array([b.lo for b in cover.parts]).reshape(-1, 2)
+            got_hi = np.array([b.hi for b in cover.parts]).reshape(-1, 2)
+            assert np.array_equal(got_lo, want_lo)
+            assert np.array_equal(got_hi, want_hi)
+            nonempty += bool(cover.parts)
+    assert nonempty > 400
+
+
+def test_cube_cover_memory_is_linear_in_the_columns():
+    tri = Polytope([[0, 0], [1, 0], [0, 1]])
+    tracemalloc.start()
+    try:
+        cube_cover(tri, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    cover = cube_cover(tri, 14)
+    assert len(cover.parts) == 16383
+    assert abs(lebesgue(cover) - (0.5 - 2.0 ** -15)) < 1e-12
 
 
 def test_cube_cover_rejects_bad_input():
