@@ -1,7 +1,10 @@
 """Convex polytopes, their moment vectors, and the planar edge operators.
 
-2D geometry is exact at unit scale: hulls, clipping, membership and the
-visibility predicates reduce to cross products of the input
+Every predicate (hulls, rank, clipping, membership, the origin's class
+and visibility) compares against one tolerance rule, ``_tolerances``,
+relative to each object's own extent and never below the roundoff of
+its coordinates, so the answers for ``2^k P`` are those for ``P``,
+scaled.  2D geometry reduces to cross products of the input
 coordinates.  Higher dimensions lean on qhull for hull extraction and
 decompose into simplices for volumes and moments.
 """
@@ -9,6 +12,7 @@ decompose into simplices for volumes and moments.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,32 +21,50 @@ from scipy.spatial import ConvexHull
 from .errors import DomainError
 
 
-def _scale(*arrays):
-    m = 1.0
-    for a in arrays:
-        if np.size(a):
-            m = max(m, float(np.max(np.abs(a))))
-    return m
+def _tolerances(points, queries=()):
+    """The tolerances ``(tol, eps, flat)`` of the object spanned by ``points``.
 
+    With ``L`` the largest side of the bounding box of ``points``, ``M``
+    the largest |coordinate| of ``points`` and ``queries``, and
+    ``f = 64 * ulp(1) * M`` the roundoff of such coordinates:
 
-def _eps(*arrays):
-    # tolerance for cross products and areas (quadratic in coordinates)
-    m = _scale(*arrays)
-    return 1e-12 * m * m
+    * ``tol = max(1e-9 * L, f)`` bounds distances (offsets from unit
+      normals, gaps between points);
+    * ``flat = max(1e-12 * L, f)`` is the thickness below which a set is
+      flat, for hull turns, singular values and areas alike;
+    * ``eps = L * flat`` bounds cross products and areas.
 
-
-# tolerance for distances, relative to the coordinates' scale; must stay
-# far below legitimate feature sizes, which reach 2**-20 in the
-# degeneration schedules
-_DIST_TOL = 1e-9
-
-
-def _tol(*arrays):
-    return _DIST_TOL * _scale(*arrays)
+    At unit scale these are 1e-9 and 1e-12, and all three scale exactly
+    with a power-of-two scaling of the object.
+    """
+    pts = np.asarray(points, float)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    extent = float((hi - lo).max())
+    size = max(-float(lo.min()), float(hi.max()), float(np.abs(queries).max(initial=0.0)))
+    floor = 64.0 * sys.float_info.epsilon * size
+    flat = max(1e-12 * extent, floor)
+    return max(1e-9 * extent, floor), extent * flat, flat
 
 
 def _cross(a, b):
     return a[0] * b[1] - a[1] * b[0]
+
+
+def _edges(v):
+    """Starts and directions of the edges of the ccw polygon ``v``."""
+    return v, np.concatenate((v[1:], v[:1])) - v
+
+
+def _edge_margin(starts, dirs, x, y):
+    """Least cross product ``dir x (point - start)`` over the given edges.
+
+    Vectorised over the points ``(x, y)``; a point lies in the closed
+    polygon when its margin over all edges is at least ``-eps``.
+    """
+    out = np.inf
+    for (px, py), (ex, ey) in zip(starts.tolist(), dirs.tolist()):
+        out = np.minimum(out, ex * (y - py) - ey * (x - px))
+    return out
 
 
 def convex_hull_2d(points):
@@ -51,12 +73,7 @@ def convex_hull_2d(points):
     if len(pts) <= 2:
         return pts
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    # relative to the points' own extent, so a small polygon keeps its area,
-    # and above the roundoff of cross products of coordinates of size |x|
-    x0, x1 = float(pts[0, 0]), float(pts[-1, 0])
-    y0, y1 = float(pts[:, 1].min()), float(pts[:, 1].max())
-    extent = max(x1 - x0, y1 - y0)
-    eps = 1e-12 * extent * max(extent, -x0, x1, -y0, y1)
+    tol, eps, _ = _tolerances(pts)
 
     def build(seq):
         out = []
@@ -69,7 +86,7 @@ def convex_hull_2d(points):
     lower = build(pts)
     upper = build(pts[::-1])
     hull = np.array(lower[:-1] + upper[:-1])
-    if len(hull) == 2 and np.allclose(hull[0], hull[1]):
+    if len(hull) == 2 and np.max(np.abs(hull[0] - hull[1])) <= tol:
         hull = hull[:1]
     return hull
 
@@ -126,17 +143,19 @@ def polygon_weighted_measure(v):
     return total
 
 
-def affine_rank(points, eps=None):
+def affine_rank(points):
     pts = np.asarray(points, float)
     if len(pts) <= 1:
         return 0
-    centered = pts - pts.mean(axis=0)
-    s = np.linalg.svd(centered, compute_uv=False)
-    if eps is None:
-        # relative to the extent, so a scaled polytope keeps its rank at any
-        # scale, and above the roundoff of centering coordinates of size |x|
-        eps = max(1e-9 * float(s[0]), 1e-12 * float(np.max(np.abs(pts))))
-    return int(np.sum(s > eps))
+    s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+    return int(np.sum(s > _tolerances(pts)[2]))
+
+
+def _frame(pts, rank):
+    """Centre and orthonormal row basis of the affine hull of ``pts``."""
+    center = pts.mean(axis=0)
+    _, _, vt = np.linalg.svd(pts - center)
+    return center, vt[:rank]
 
 
 def hull_vertices(points):
@@ -155,12 +174,8 @@ def hull_vertices(points):
     if n == 2:
         return convex_hull_2d(pts)
     if rank < n:
-        center = pts.mean(axis=0)
-        _, _, vt = np.linalg.svd(pts - center)
-        basis = vt[:rank]
-        flat = (pts - center) @ basis.T
-        sub = hull_vertices(flat)
-        return center + sub @ basis
+        center, basis = _frame(pts, rank)
+        return center + hull_vertices((pts - center) @ basis.T) @ basis
     hull = ConvexHull(pts)
     verts = pts[hull.vertices]
     order = np.lexsort(verts.T[::-1])
@@ -227,64 +242,54 @@ class Polytope:
             raise DomainError("closed-form weighted measure is 2D only")
         return polygon_weighted_measure(self.vertices)
 
-    def contains(self, point, slack=0.0):
-        p = np.asarray(point, float)
-        v = self.vertices
-        eps = _eps(v, p) + slack
-        tol = _tol(v, p) + slack
-        if self.rank < self.dim:
-            if self.rank == 0:
-                return bool(np.max(np.abs(p - v[0])) <= tol)
-            # containment in a lower-dimensional hull: distance to it
-            if len(v) == 2:
-                d = v[1] - v[0]
-                t = float(np.dot(p - v[0], d) / np.dot(d, d))
-                t = min(1.0, max(0.0, t))
-                return bool(np.max(np.abs(v[0] + t * d - p)) <= tol)
-            return False
-        if self.dim == 2:
-            for i in range(len(v)):
-                if _cross(v[(i + 1) % len(v)] - v[i], p - v[i]) < -eps:
-                    return False
-            return True
-        return bool(self.contains_points(p[None, :], slack)[0])
+    def contains(self, point):
+        return bool(self.contains_points(point)[0])
 
-    def contains_points(self, points, slack=0.0):
-        """Membership of each row of ``points``; full rank, dimension >= 3.
+    def contains_points(self, points):
+        """Membership of each row of ``points`` in the closed polytope.
 
-        One half-space test against the hull's facet equations, with the
-        per-point tolerance of :meth:`contains`.
+        Full rank: one half-space test against the facets (edge cross
+        products in 2D).  Lower rank: the distance to the polytope's flat
+        and the membership of the projection in the flat's own
+        coordinates.  One set of tolerances, from the vertices and the
+        points, serves every step.
         """
         pts = np.atleast_2d(np.asarray(points, float))
-        # _tol(vertices, p) for every row p at once
-        scale = np.maximum(_scale(self.vertices), np.max(np.abs(pts), axis=1))
-        tol = _DIST_TOL * scale + slack
+        tol, eps, _ = _tolerances(self.vertices, pts)
+        return self._contains(pts, tol, eps)
+
+    def _contains(self, pts, tol, eps):
+        v = self.vertices
+        if self.rank < self.dim:
+            center, basis = _frame(v, self.rank)
+            q = (pts - center) @ basis.T
+            near = np.max(np.abs(pts - center - q @ basis), axis=1) <= tol
+            if self.rank == 0:
+                return near
+            return near & Polytope((v - center) @ basis.T)._contains(q, tol, eps)
+        if self.dim == 1:
+            return (v.min() - tol <= pts[:, 0]) & (pts[:, 0] <= v.max() + tol)
+        if self.dim == 2:
+            return _edge_margin(*_edges(v), pts[:, 0], pts[:, 1]) >= -eps
         eq = self.hull.equations
-        return np.all(pts @ eq[:, :-1].T + eq[:, -1] <= tol[:, None], axis=1)
+        return np.all(pts @ eq[:, :-1].T + eq[:, -1] <= tol, axis=1)
 
     def origin_class(self):
         """One of ``"vertex"``, ``"boundary"``, ``"interior"``, ``"outside"``."""
         v = self.vertices
-        eps = _eps(v)
-        tol = _tol(v)
+        tol, eps, _ = _tolerances(v)
         if np.any(np.max(np.abs(v), axis=1) <= tol):
             return "vertex"
         if self.rank < self.dim:
-            if self.contains(np.zeros(self.dim)):
-                return "boundary"
-            return "outside"
+            return "boundary" if self.contains(np.zeros(self.dim)) else "outside"
         if self.dim == 2:
-            dists = [_cross(v[(i + 1) % len(v)] - v[i], -v[i])
-                     for i in range(len(v))]
-            if min(dists) < -eps:
-                return "outside"
-            if min(dists) <= eps:
-                return "boundary"
-            return "interior"
-        vals = self.hull.equations[:, -1]
-        if np.any(vals < -tol):
+            margin, cut = float(_edge_margin(*_edges(v), 0.0, 0.0)), eps
+        else:
+            # the origin's least distance inside a facet: minus the largest offset
+            margin, cut = -float(np.max(self.hull.equations[:, -1])), tol
+        if margin < -cut:
             return "outside"
-        if np.any(np.abs(vals) <= tol):
+        if margin <= cut:
             return "boundary"
         return "interior"
 
@@ -296,9 +301,10 @@ class Polytope:
         return cls(obj["vertices"])
 
     def __eq__(self, other):
-        return (isinstance(other, Polytope)
-                and self.vertices.shape == other.vertices.shape
-                and np.allclose(self.vertices, other.vertices, atol=1e-12))
+        if not isinstance(other, Polytope) or self.vertices.shape != other.vertices.shape:
+            return False
+        tol = _tolerances(np.vstack([self.vertices, other.vertices]))[0]
+        return bool(np.all(np.abs(self.vertices - other.vertices) <= tol))
 
     def __repr__(self):
         return f"Polytope({self.vertices.tolist()!r})"
@@ -334,10 +340,9 @@ def cone_hull(poly):
     return Polytope(pts)
 
 
-def _origin_on_segment(a, b):
-    if abs(_cross(a, b)) > _eps(a, b):
+def _origin_on_segment(a, b, tol, eps):
+    if abs(_cross(a, b)) > eps:
         return False
-    tol = _tol(a, b)
     lo = np.minimum(a, b) - tol
     hi = np.maximum(a, b) + tol
     return bool(np.all(lo <= 0.0) and np.all(0.0 <= hi))
@@ -356,15 +361,14 @@ def visible_vertices(poly):
     if poly.origin_class() == "interior":
         raise DomainError("origin lies in the interior; no visible chain")
     v = poly.vertices
-    eps = _eps(v)
-    tol = _tol(v)
+    tol, eps, _ = _tolerances(v)
     keep = []
     if len(v) == 1:
         if float(np.max(np.abs(v[0]))) > tol:
             keep.append(v[0])
     elif len(v) == 2:
         a, b = v
-        if _origin_on_segment(a, b):
+        if _origin_on_segment(a, b, tol, eps):
             keep = [p for p in (a, b) if float(np.max(np.abs(p))) > tol]
         elif abs(_cross(a, b)) <= eps:
             keep = [a if np.dot(a, a) <= np.dot(b, b) else b]
@@ -372,7 +376,7 @@ def visible_vertices(poly):
             keep = [a, b]
     else:
         m = len(v)
-        on_edge = [_origin_on_segment(v[i], v[(i + 1) % m])
+        on_edge = [_origin_on_segment(v[i], v[(i + 1) % m], tol, eps)
                    for i in range(m)]
         for i in range(m):
             if float(np.max(np.abs(v[i]))) <= tol:
@@ -430,12 +434,13 @@ def visible_span(poly):
     if poly.rank < 2 or poly.origin_class() == "interior":
         return np.zeros(2)
     m = len(v)
+    tol, eps, _ = _tolerances(v)
     norms = np.max(np.abs(v), axis=1)
-    if np.any(norms <= _tol(v)):
+    if np.any(norms <= tol):
         i0 = int(np.argmin(norms))
         return v[(i0 + 1) % m] - v[i0 - 1]
     for i in range(m):
-        if _origin_on_segment(v[i], v[(i + 1) % m]):
+        if _origin_on_segment(v[i], v[(i + 1) % m], tol, eps):
             return v[(i + 1) % m] - v[i]
     raise DomainError("origin is not on the boundary")
 
@@ -660,15 +665,11 @@ def diagonal_unimodular(n, k):
 
 # -- planar clipping -------------------------------------------------------
 
-def clip_halfplane(v, point, direction):
+def _clip_halfplane(v, point, direction, eps):
     """Keep the part of polygon ``v`` left of the ray point + t*direction."""
-    v = np.asarray(v, float)
     if len(v) == 0:
         return v
-    d = np.asarray(direction, float)
-    p0 = np.asarray(point, float)
-    eps = _eps(v, p0 + d)
-    side = np.array([_cross(d, q - p0) for q in v])
+    side = _edge_margin(point[None], direction[None], v[:, 0], v[:, 1])
     if np.all(side >= -eps):
         return v
     if np.all(side <= eps):
@@ -686,10 +687,9 @@ def clip_halfplane(v, point, direction):
     return np.asarray(out)
 
 
-def _tidy(v):
+def _tidy(v, tol, eps):
     if len(v) < 3:
         return None
-    tol = _tol(v)
     keep = [v[0]]
     for p in v[1:]:
         if np.max(np.abs(p - keep[-1])) > tol:
@@ -697,35 +697,40 @@ def _tidy(v):
     if len(keep) > 1 and np.max(np.abs(keep[0] - keep[-1])) <= tol:
         keep.pop()
     v = np.asarray(keep)
-    if len(v) < 3 or abs(polygon_area(v)) <= _eps(v):
+    if len(v) < 3 or abs(polygon_area(v)) <= eps:
         return None
     return v
 
 
 def intersect_polygons(p, q):
-    """Intersection of two ccw convex polygons, or None when negligible."""
+    """Intersection of two ccw convex polygons, or None when negligible.
+
+    Negligible means below the tolerances of the pair (``_tolerances``).
+    """
     p = np.asarray(p, float)
     q = np.asarray(q, float)
+    tol, eps, _ = _tolerances(np.vstack([p, q]))
     out = p
     for i in range(len(q)):
-        out = clip_halfplane(out, q[i], q[(i + 1) % len(q)] - q[i])
+        out = _clip_halfplane(out, q[i], q[(i + 1) % len(q)] - q[i], eps)
         if len(out) == 0:
             return None
-    return _tidy(out)
+    return _tidy(out, tol, eps)
 
 
 def subtract_polygon(p, q):
     """Convex pieces whose disjoint union is p minus q."""
     p = np.asarray(p, float)
     q = np.asarray(q, float)
+    tol, eps, _ = _tolerances(np.vstack([p, q]))
     pieces = []
     for i in range(len(q)):
-        piece = clip_halfplane(p, q[i], q[i] - q[(i + 1) % len(q)])
+        piece = _clip_halfplane(p, q[i], q[i] - q[(i + 1) % len(q)], eps)
         for j in range(i):
             if len(piece) == 0:
                 break
-            piece = clip_halfplane(piece, q[j], q[(j + 1) % len(q)] - q[j])
-        piece = _tidy(piece)
+            piece = _clip_halfplane(piece, q[j], q[(j + 1) % len(q)] - q[j], eps)
+        piece = _tidy(piece, tol, eps)
         if piece is not None:
             pieces.append(piece)
     return pieces

@@ -35,8 +35,10 @@ from .facets import (
 )
 from .polytopes import (
     Polytope,
+    _edge_margin,
+    _edges,
+    _tolerances,
     intersect_polygons,
-    polygon_area,
     polygon_weighted_measure,
     subtract_polygon,
 )
@@ -204,19 +206,6 @@ def part_moment(part):
     raise DomainError(f"unknown region part {part!r}")
 
 
-def _polygon_edges(v):
-    # (start, direction) of each edge of the ccw polygon v
-    return [(v[i], v[(i + 1) % len(v)] - v[i]) for i in range(len(v))]
-
-
-def _left_of(edges, x, y):
-    # on or left of every edge, to an absolute 1e-12
-    inside = np.ones(np.shape(x), bool)
-    for p, e in edges:
-        inside &= (e[0] * (y - p[1]) - e[1] * (x - p[0])) >= -1e-12
-    return inside
-
-
 def part_contains(part, points):
     """Vectorized membership for an (m, n) array of points."""
     pts = np.atleast_2d(np.asarray(points, float))
@@ -231,11 +220,7 @@ def part_contains(part, points):
         d = pts - part.center
         return np.sum(d * d, axis=1) <= part.radius ** 2
     if isinstance(part, Polytope):
-        if part.dim == 2 and part.rank == 2:
-            return _left_of(_polygon_edges(part.vertices), pts[:, 0], pts[:, 1])
-        if part.rank == part.dim:
-            return part.contains_points(pts)
-        return np.array([part.contains(p) for p in pts], dtype=bool)
+        return part.contains_points(pts)
     raise DomainError(f"unknown region part {part!r}")
 
 
@@ -398,8 +383,7 @@ def _check_pair_disjoint(a, b, rng, samples):
         return
     pa, pb = _as_polygon(a), _as_polygon(b)
     if pa is not None and pb is not None:
-        inter = intersect_polygons(pa, pb)
-        if inter is not None and polygon_area(inter) > 1e-12:
+        if intersect_polygons(pa, pb) is not None:
             raise DisjointnessError(f"polygon overlap between {a!r} and {b!r}")
         return
     _monte_carlo_collision(a, b, rng, samples)
@@ -602,12 +586,13 @@ def cube_cover(poly, depth):
     j_hi = math.ceil(v[:, 1].max() / h)
     xs = (np.arange(i_lo, i_hi + 1) * h)
     ys = (np.arange(j_lo, j_hi + 1) * h)
-    edges = _polygon_edges(v)
-    lower = [(p, e) for p, e in edges if e[0] >= 0]
-    upper = [(p, e) for p, e in edges if e[0] < 0]
-    a = _first_true(lambda j: _left_of(lower, xs, (j_lo + j) * h),
+    _, eps, _ = _tolerances(v, [xs[0], xs[-1], ys[0], ys[-1]])
+    starts, dirs = _edges(v)
+    right = dirs[:, 0] >= 0
+    lower, upper = (starts[right], dirs[right]), (starts[~right], dirs[~right])
+    a = _first_true(lambda j: _edge_margin(*lower, xs, (j_lo + j) * h) >= -eps,
                     len(ys), len(xs))
-    b = _first_true(lambda j: ~_left_of(upper, xs, (j_lo + j) * h),
+    b = _first_true(lambda j: _edge_margin(*upper, xs, (j_lo + j) * h) < -eps,
                     len(ys), len(xs))
     start = np.maximum(a[:-1], a[1:])
     stop = np.minimum(b[:-1], b[1:]) - 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from orliczval.errors import DomainError
+from orliczval.regions import cube_cover, part_contains, part_weighted_measure
 from orliczval.polytopes import (
     PlanarCoefficients,
     Polytope,
@@ -151,13 +152,19 @@ def test_small_polytopes_keep_their_rank_near_and_far_from_the_origin():
         p = Polytope(s * tri)
         assert p.rank == 2 and len(p.vertices) == 3, s
         assert math.isclose(p.volume(), 0.5 * s * s, rel_tol=1e-12), s
+    # a resolved sliver 1e-9 thick: flat at the same level for rank and hull
+    p = Polytope([[0.1, 0.25], [1.9, 0.25 + 1e-9], [1.0, 0.25 - 1e-9]])
+    assert p.rank == 2 and len(p.vertices) == 3
+    v = [(Fraction(x), Fraction(y)) for x, y in p.vertices.tolist()]
+    exact = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(v, v[1:] + v[:1])) / 2
+    assert math.isclose(p.volume(), float(exact), rel_tol=1e-12)
 
 
 def test_polygon_area_of_small_polygons_far_from_the_origin():
     # the shoelace sum must not run over absolute coordinates, whose products
     # (~1e8 at offset 1e4) round off more than a 1e-6 triangle's area
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    for offset in (0.0, 1.0, -3e2, 1e4, -1e4, 1e5):
+    for offset in (0.0, 1.0, -3e2, 1e4, -1e4, 1e5, 1e6, -1e6):
         for s in (1e-6, 1e-3, 1.0):
             p = Polytope(offset + s * tri)
             assert p.rank == 2 and len(p.vertices) == 3, (offset, s)
@@ -173,6 +180,97 @@ def test_origin_classification():
     assert Polytope([[-1, -1], [1, -1], [1, 1], [-1, 1]]).origin_class() == "interior"
     assert Polytope([[1, 1], [2, 1], [1, 2]]).origin_class() == "outside"
     assert Polytope([[-1.0, 0.0], [1.0, 0.0]]).origin_class() == "boundary"
+    cube = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], float)
+    assert Polytope(cube - 0.5).origin_class() == "interior"
+    assert Polytope(cube - [0.5, 0.0, 0.5]).origin_class() == "boundary"
+    assert Polytope(cube - [0.5, -1.0, 0.5]).origin_class() == "outside"
+    assert Polytope(cube).origin_class() == "vertex"
+
+
+def test_flat_polytope_membership_in_its_own_flat():
+    tri = Polytope([[-1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, 0.0]])
+    assert tri.rank == 2
+    assert tri.origin_class() == "boundary"
+    # the same triangle tilted out of the coordinate planes and moved away
+    q, _ = np.linalg.qr(np.array([[2.0, 1.0, 0.5], [-1.0, 2.0, 1.0], [0.3, -0.4, 2.0]]))
+    for rot, shift in ((np.eye(3), np.zeros(3)), (q, np.array([3.0, -2.0, 5.0]))):
+        flat = Polytope(tri.vertices @ rot.T + shift)
+        centroid = flat.vertices.mean(axis=0)
+        normal = rot @ np.array([0.0, 0.0, 1.0])
+        pts = np.vstack([flat.vertices, centroid, centroid + 1e-3 * normal,
+                         rot @ [0.0, -1.001, 0.0] + shift, rot @ [0.0, -0.999, 0.0] + shift])
+        want = [True, True, True, True, False, False, True]
+        assert part_contains(flat, pts).tolist() == want
+        assert [flat.contains(p) for p in pts] == want
+    seg = Polytope([[1.0, 1.0, 1.0], [3.0, 2.0, 1.0]])
+    assert [seg.contains(p) for p in ([2.0, 1.5, 1.0], [4.0, 2.5, 1.0], [2.0, 1.5, 1.1])] \
+        == [True, False, False]
+
+
+_DYADIC_ORDERS = (-40, -30, -20, -10, 0, 10, 20, 40)
+
+
+def _dyadic_cases():
+    rng = np.random.default_rng(47)
+    polys = [np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+             np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+             np.array([[0.3, 0.2], [0.301, 0.2], [0.3, 0.201]])]
+    for _ in range(12):
+        pts = rng.uniform(-1.0, 1.0, (int(rng.integers(3, 9)), 2))
+        polys.append(pts * rng.uniform(0.1, 1.0) + rng.uniform(-1.0, 1.0, 2))
+    probes = [rng.uniform(-2.0, 2.0, (200, 2)) for _ in polys]
+    return polys, probes
+
+
+def _planar_answers(v):
+    p = Polytope(v)
+    try:
+        chain = visible_vertices(p)
+    except DomainError:
+        chain = None
+    cone = cone_hull(p)
+    return p, p.origin_class(), chain, edge_sum(cone), visible_span(cone)
+
+
+@pytest.mark.parametrize("k", _DYADIC_ORDERS)
+def test_geometry_is_invariant_under_dyadic_scaling(k):
+    s = 2.0 ** k
+    polys, probes = _dyadic_cases()
+    for v, pts in zip(polys, probes):
+        base, cls, chain, esum, span = _planar_answers(v)
+        # the probes, the vertices and the edge midpoints
+        pts = np.vstack([pts, base.vertices, 0.5 * (base.vertices + np.roll(base.vertices, 1, 0))])
+        scaled, s_cls, s_chain, s_esum, s_span = _planar_answers(s * v)
+        assert scaled.rank == base.rank == 2
+        assert np.array_equal(scaled.vertices, s * base.vertices)
+        assert math.isclose(scaled.volume(), s ** 2 * base.volume(), rel_tol=1e-12)
+        assert np.allclose(scaled.moment(), s ** 3 * base.moment(), rtol=1e-12, atol=0.0)
+        assert math.isclose(part_weighted_measure(scaled)[0],
+                            s ** 3 * part_weighted_measure(base)[0], rel_tol=1e-12)
+        assert np.array_equal(part_contains(scaled, s * pts), part_contains(base, pts))
+        assert s_cls == cls
+        assert (s_chain is None) == (chain is None)
+        if chain is not None:
+            assert np.array_equal(s_chain, s * chain)
+        assert np.array_equal(s_esum, s * esum) and np.array_equal(s_span, s * span)
+        if k <= 10:
+            want, got = cube_cover(base, 10), cube_cover(scaled, 10 - k)
+            assert len(got.parts) == len(want.parts)
+            for a, b in zip(got.parts, want.parts):
+                assert np.array_equal(a.lo, s * b.lo) and np.array_equal(a.hi, s * b.hi)
+    tet = np.array([[-0.3, -0.2, -0.1], [0.7, -0.1, 0.0], [0.1, 0.8, -0.2], [0.0, 0.1, 0.9]])
+    rng = np.random.default_rng(53)
+    for shift in (np.zeros(3), np.array([0.3, 0.0, 0.0]), np.array([2.0, -1.0, 0.5])):
+        base, scaled = Polytope(tet + shift), Polytope(s * (tet + shift))
+        assert scaled.rank == base.rank == 3
+        assert math.isclose(scaled.volume(), s ** 3 * base.volume(), rel_tol=1e-12)
+        assert np.allclose(scaled.moment(), s ** 4 * base.moment(), rtol=1e-12, atol=0.0)
+        mu, _ = part_weighted_measure(base, 1e-12)
+        s_mu, _ = part_weighted_measure(scaled, 1e-12 * s ** 4)
+        assert math.isclose(s_mu, s ** 4 * mu, rel_tol=1e-12)
+        pts = np.vstack([rng.uniform(-1.0, 3.0, (200, 3)), base.vertices])
+        assert np.array_equal(part_contains(scaled, s * pts), part_contains(base, pts))
+        assert scaled.origin_class() == base.origin_class()
 
 
 def test_json_round_trip():

@@ -18,8 +18,9 @@ from orliczval.errors import (
     WitnessNotFoundError,
 )
 from orliczval.functions import SimpleFunction, rasterize
-from orliczval.polytopes import Polytope, random_unimodular, shear
+from orliczval.polytopes import Polytope, diagonal_unimodular, random_unimodular, shear
 from orliczval.regions import Annulus, AxisBox, OriginBall, Region, unit_ball_volume
+from orliczval.suites import _polytope_function
 from orliczval.valuations import (
     OddComposer,
     PolynomialComposer,
@@ -243,6 +244,20 @@ def test_covariance_random_maps():
             theta = random_unimodular(dim, rng)
             worst = max(worst, np.max(np.abs(check_covariance(xi, h, theta))))
     assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("dim, k", [(2, 2.0 ** 16), (2, 2.0 ** -16),
+                                    (3, 2.0 ** 10), (3, 2.0 ** -10)])
+def test_covariance_under_extreme_diagonal_maps(dim, k):
+    # images with aspect ratios up to 2^32 (2D) and 2^30 (3D) keep their rank
+    rng = np.random.default_rng(17)
+    theta = diagonal_unimodular(dim, k)
+    for xi in (PolynomialComposer([1.0, 0.5]), PolynomialComposer([0.0, 0.0, 0.0, 1.0])):
+        for _ in range(4):
+            h = _polytope_function(rng, dim)
+            want = theta.matrix @ psi(xi, h)
+            residual = check_covariance(xi, h, theta)
+            assert np.max(np.abs(residual)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_covariance_rejects_non_polytopes():
