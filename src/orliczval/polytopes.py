@@ -72,8 +72,12 @@ def convex_hull_2d(points):
     pts = np.unique(np.asarray(points, float), axis=0)
     if len(pts) <= 2:
         return pts
+    return _hull_2d(pts, *_tolerances(pts)[:2])
+
+
+def _hull_2d(pts, tol, eps):
+    """Monotone-chain hull of three or more distinct points."""
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    tol, eps, _ = _tolerances(pts)
 
     def build(seq):
         out = []
@@ -147,8 +151,12 @@ def affine_rank(points):
     pts = np.asarray(points, float)
     if len(pts) <= 1:
         return 0
+    return _rank(pts, _tolerances(pts)[2])
+
+
+def _rank(pts, flat):
     s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
-    return int(np.sum(s > _tolerances(pts)[2]))
+    return int(np.sum(s > flat))
 
 
 def _frame(pts, rank):
@@ -158,28 +166,36 @@ def _frame(pts, rank):
     return center, vt[:rank]
 
 
-def hull_vertices(points):
-    """Irredundant vertex array of conv(points) in any ambient dimension."""
+def _hull_and_rank(points):
+    """Irredundant hull vertices and affine rank of ``points``, any dimension.
+
+    One tolerance rule serves both.  The rank is that of the vertices as
+    well, since the hull keeps the points' extent; a 2D hull that
+    collapses to fewer than three vertices lowers it to match.
+    """
     pts = np.unique(np.asarray(points, float), axis=0)
     n = pts.shape[1]
     if len(pts) <= 1:
-        return pts
-    rank = affine_rank(pts)
+        return pts, 0
+    tol, eps, flat = _tolerances(pts)
+    rank = _rank(pts, flat)
     if rank == 0:
-        return pts[:1]
+        return pts[:1], 0
     if rank == 1:
         direction = pts[-1] - pts[0]
         proj = pts @ direction
-        return np.array([pts[int(np.argmin(proj))], pts[int(np.argmax(proj))]])
+        return np.array([pts[int(np.argmin(proj))], pts[int(np.argmax(proj))]]), 1
     if n == 2:
-        return convex_hull_2d(pts)
+        verts = _hull_2d(pts, tol, eps)
+        return verts, min(rank, len(verts) - 1)
     if rank < n:
         center, basis = _frame(pts, rank)
-        return center + hull_vertices((pts - center) @ basis.T) @ basis
+        flat_verts, rank = _hull_and_rank((pts - center) @ basis.T)
+        return center + flat_verts @ basis, rank
     hull = ConvexHull(pts)
     verts = pts[hull.vertices]
     order = np.lexsort(verts.T[::-1])
-    return verts[order]
+    return verts[order], rank
 
 
 class Polytope:
@@ -196,16 +212,14 @@ class Polytope:
             raise DomainError("a polytope needs at least one point")
         if not np.all(np.isfinite(pts)):
             raise DomainError("polytope vertices must be finite")
-        self.vertices = hull_vertices(pts)
+        self.vertices, self._rank = _hull_and_rank(pts)
         self.dim = pts.shape[1]
-        # built on first use: rank costs an SVD, the hull a qhull run
-        self._rank = None
+        # built on first use: the hull costs a qhull run, the flat an SVD
         self._hull = None
+        self._flat = None
 
     @property
     def rank(self):
-        if self._rank is None:
-            self._rank = affine_rank(self.vertices)
         return self._rank
 
     @property
@@ -261,12 +275,16 @@ class Polytope:
     def _contains(self, pts, tol, eps):
         v = self.vertices
         if self.rank < self.dim:
-            center, basis = _frame(v, self.rank)
+            if self._flat is None:
+                center, basis = _frame(v, self.rank)
+                inner = Polytope((v - center) @ basis.T) if self.rank else None
+                self._flat = center, basis, inner
+            center, basis, inner = self._flat
             q = (pts - center) @ basis.T
             near = np.max(np.abs(pts - center - q @ basis), axis=1) <= tol
-            if self.rank == 0:
+            if inner is None:
                 return near
-            return near & Polytope((v - center) @ basis.T)._contains(q, tol, eps)
+            return near & inner._contains(q, tol, eps)
         if self.dim == 1:
             return (v.min() - tol <= pts[:, 0]) & (pts[:, 0] <= v.max() + tol)
         if self.dim == 2:

@@ -313,13 +313,15 @@ def test_cli_module_entry_point():
 
 
 def test_cli_cold_import_leaves_out_the_quadrature_package():
-    # no region kind needs QUADPACK, so a cold start must not pay for it
+    # no region kind needs QUADPACK and the root finder is the package's
+    # own, so a cold start pays for neither scipy.integrate nor scipy.optimize
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, orliczval.cli; print('scipy.integrate' in sys.modules)"],
+         "import sys, orliczval.cli; "
+         "print('scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules)"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def test_cli_seventeen_digit_floats(capsys):

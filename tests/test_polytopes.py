@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from orliczval import polytopes
 from orliczval.errors import DomainError
 from orliczval.regions import cube_cover, part_contains, part_weighted_measure
 from orliczval.polytopes import (
@@ -187,7 +188,15 @@ def test_origin_classification():
     assert Polytope(cube).origin_class() == "vertex"
 
 
-def test_flat_polytope_membership_in_its_own_flat():
+def test_flat_polytope_membership_in_its_own_flat(monkeypatch):
+    frames = []
+    frame = polytopes._frame
+
+    def counted(*args):
+        frames.append(args)
+        return frame(*args)
+
+    monkeypatch.setattr(polytopes, "_frame", counted)
     tri = Polytope([[-1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, 0.0]])
     assert tri.rank == 2
     assert tri.origin_class() == "boundary"
@@ -200,8 +209,12 @@ def test_flat_polytope_membership_in_its_own_flat():
         pts = np.vstack([flat.vertices, centroid, centroid + 1e-3 * normal,
                          rot @ [0.0, -1.001, 0.0] + shift, rot @ [0.0, -0.999, 0.0] + shift])
         want = [True, True, True, True, False, False, True]
+        built = len(frames)
         assert part_contains(flat, pts).tolist() == want
+        assert len(frames) == built + 1
+        # the flat and its in-flat polytope are built once, on first use
         assert [flat.contains(p) for p in pts] == want
+        assert len(frames) == built + 1
     seg = Polytope([[1.0, 1.0, 1.0], [3.0, 2.0, 1.0]])
     assert [seg.contains(p) for p in ([2.0, 1.5, 1.0], [4.0, 2.5, 1.0], [2.0, 1.5, 1.1])] \
         == [True, False, False]

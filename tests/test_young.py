@@ -89,6 +89,27 @@ def test_exp_conjugate_closed_form():
     assert star.eval(0.0) == 0.0
 
 
+def test_exp_and_log_families_keep_full_precision_at_small_arguments():
+    # expm1(u) - u and (1 + u) log1p(u) - u cancel as u -> 0; the reference
+    # carries enough digits to resolve u**2 next to u
+    mp = pytest.importorskip("mpmath")
+    us = np.geomspace(1e-300, 1e2, 601)
+    cases = ((ExpYoung(), lambda u: mp.expm1(u) - u),
+             (LogYoung(), lambda u: (1 + u) * mp.log1p(u) - u))
+    for phi, exact in cases:
+        want = []
+        for u in us:
+            with mp.workdps(40 + 2 * max(0, -int(math.log10(u)))):
+                want.append(float(exact(mp.mpf(float(u)))))
+        want = np.array(want)
+        got = phi.eval(us)
+        normal = want >= np.finfo(float).tiny
+        assert np.all(np.abs(got[normal] / want[normal] - 1.0) <= 1e-15), phi
+        # u**2/2 underflows below about 1e-154: zero or a subnormal there
+        assert np.all(np.abs(got[~normal] - want[~normal]) <= 4.0 * np.finfo(float).smallest_subnormal)
+        assert [phi.eval(float(u)) for u in us[::50]] == got[::50].tolist()
+
+
 def test_young_gap_nonnegative_and_tight_at_density():
     for phi in (PowerYoung(2.0), PowerYoung(3.5), ExpYoung(), LogYoung()):
         pair = ConjugatePair(phi)
