@@ -40,6 +40,7 @@ from .polytopes import (
     _tolerances,
     intersect_polygons,
     polygon_weighted_measure,
+    rectangle_weighted_measures,
     subtract_polygon,
 )
 
@@ -92,7 +93,7 @@ class AxisBox:
             raise DomainError("lo and hi must be equal-length vectors")
         if len(self.lo) < 2:
             raise DomainError("regions live in dimension >= 2")
-        if not np.all(self.lo < self.hi) or not np.all(np.isfinite(self.hi)):
+        if not ((-math.inf < self.lo) & (self.lo < self.hi) & (self.hi < math.inf)).all():
             raise DomainError("need lo < hi on every axis, all finite")
         self.dim = len(self.lo)
 
@@ -138,13 +139,12 @@ _RADIAL = (OriginBall, Annulus)
 
 
 def part_lebesgue(part):
+    """Volume of one part other than an axis box (``Region`` stacks those)."""
     if isinstance(part, (OriginBall, ShiftedBall)):
         return unit_ball_volume(part.dim) * part.radius ** part.dim
     if isinstance(part, Annulus):
         return unit_ball_volume(part.dim) * (part.outer ** part.dim
                                              - part.inner ** part.dim)
-    if isinstance(part, AxisBox):
-        return float(np.prod(part.hi - part.lo))
     if isinstance(part, Polytope):
         return part.volume()
     raise DomainError(f"unknown region part {part!r}")
@@ -195,10 +195,9 @@ def part_weighted_measure(part, abs_tol=1e-9):
 
 
 def part_moment(part):
+    """Moment of one part other than an axis box (``Region`` stacks those)."""
     if isinstance(part, _RADIAL):
         return np.zeros(part.dim)
-    if isinstance(part, AxisBox):
-        return part_lebesgue(part) * 0.5 * (part.lo + part.hi)
     if isinstance(part, ShiftedBall):
         return part_lebesgue(part) * part.center
     if isinstance(part, Polytope):
@@ -275,6 +274,13 @@ class Region:
     Disjointness is asserted by the constructor's contract, not
     enforced; ``check_disjoint`` verifies it exactly where the part
     pairing allows and by collision sampling otherwise.
+
+    The axis boxes are stacked once, on first use, into ``(lo, hi)``
+    arrays: volume and moment (any dimension) and the weighted measure
+    (dimension 2, by ``rectangle_weighted_measures``) take one array pass
+    over them, however many there are.  The other parts, and boxes in
+    dimension >= 3 for the weighted measure, go through the per-part
+    functions.
     """
 
     def __init__(self, parts, dim=None):
@@ -291,21 +297,48 @@ class Region:
         self.dim = int(dim)
         self.parts = parts
         self._mu_cache = {}
+        self._boxes = None
+
+    def _box_stack(self):
+        # ((lo, hi) of the axis boxes as (m, dim) arrays, or None without
+        # boxes; the other parts), built on first use
+        if self._boxes is None:
+            boxes = [p for p in self.parts if isinstance(p, AxisBox)]
+            rest = [p for p in self.parts if not isinstance(p, AxisBox)]
+            stack = (np.array([b.lo for b in boxes]),
+                     np.array([b.hi for b in boxes])) if boxes else None
+            self._boxes = stack, rest
+        return self._boxes
 
     def lebesgue(self):
-        return sum(part_lebesgue(p) for p in self.parts)
+        boxes, rest = self._box_stack()
+        total = sum(part_lebesgue(p) for p in rest)
+        if boxes:
+            lo, hi = boxes
+            total += float((hi - lo).prod(axis=1).sum())
+        return total
 
     def weighted_measure(self, abs_tol=1e-9):
         key = abs_tol
         if key not in self._mu_cache:
-            vals = [part_weighted_measure(p, abs_tol) for p in self.parts]
+            boxes, rest = self._box_stack()
+            value = 0.0
+            if self.dim > 2:
+                rest = self.parts  # boxes take the facet reduction one by one
+            elif boxes:
+                value = float(rectangle_weighted_measures(*boxes).sum())
+            vals = [part_weighted_measure(p, abs_tol) for p in rest]
             self._mu_cache[key] = WeightedMeasure(
-                sum(v for v, _ in vals), sum(e for _, e in vals))
+                value + sum(v for v, _ in vals), sum(e for _, e in vals))
         return self._mu_cache[key]
 
     def moment(self):
+        boxes, rest = self._box_stack()
         out = np.zeros(self.dim)
-        for p in self.parts:
+        if boxes:
+            lo, hi = boxes
+            out += (hi - lo).prod(axis=1) @ (0.5 * (lo + hi))
+        for p in rest:
             out += part_moment(p)
         return out
 
@@ -596,5 +629,7 @@ def cube_cover(poly, depth):
                     len(ys), len(xs))
     start = np.maximum(a[:-1], a[1:])
     stop = np.minimum(b[:-1], b[1:]) - 1
-    return Region([AxisBox([xs[i], ys[start[i]]], [xs[i + 1], ys[stop[i]]])
-                   for i in np.flatnonzero(start < stop)], dim=2)
+    i = np.flatnonzero(start < stop)
+    lo = np.stack([xs[i], ys[start[i]]], 1)
+    hi = np.stack([xs[i + 1], ys[stop[i]]], 1)
+    return Region([AxisBox(a, b) for a, b in zip(lo, hi)], dim=2)

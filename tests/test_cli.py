@@ -303,6 +303,15 @@ def test_cli_bad_input_exit_codes(capsys):
         main(["verify", "nosuchsuite"])
 
 
+def test_cli_norm_rejects_an_infinite_box_bound(capsys):
+    # -Infinity is valid JSON to Python's parser; the box must refuse it
+    simple = json.dumps({"dim": 2, "terms": [{"value": 1.0, "region": {
+        "dim": 2, "parts": [{"kind": "axis_box", "lo": [-math.inf, 0.0], "hi": [1.0, 1.0]}]}}]})
+    rc, out, err = run_cli(capsys, "norm", "--phi", "power:2", "--simple", simple)
+    assert rc == 2 and out == ""
+    assert "need lo < hi on every axis, all finite" in err
+
+
 def test_cli_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "orliczval.cli", "young", "eval",

@@ -36,7 +36,7 @@ from orliczval.norms import (
     norm_report,
     orlicz_norm,
 )
-from orliczval.polytopes import Polytope
+from orliczval.polytopes import Polytope, polygon_weighted_measure
 from orliczval.regions import Annulus, AxisBox, OriginBall, Region
 from orliczval.young import DensityYoung, ExpYoung, LogYoung, PowerYoung
 
@@ -244,6 +244,21 @@ def test_grid_validation():
         GridFunction([1.0, 0.0], [1.0, 1.0], np.zeros((2, 2)))
     with pytest.raises(DomainError):
         GridFunction([0.0, 0.0], [1.0, 1.0], np.full((2, 2), math.inf))
+
+
+def test_planar_cell_measures_equal_the_polygon_closed_form():
+    # one array call for all cells, cell by cell the polygon closed form;
+    # the second grid has cells with a corner, and edges, on the origin
+    for lo, hi, shape in (([-1.3, -0.7], [1.1, 2.0], (7, 5)),
+                          ([-1.0, -1.0], [1.0, 1.0], (4, 8)),
+                          ([2.0, 3.0], [2.5, 3.001], (3, 2))):
+        grid = GridFunction(lo, hi, np.ones(shape))
+        mus, errs = grid.cell_weighted_measures()
+        los, his = grid.cell_bounds()
+        want = [polygon_weighted_measure(AxisBox(a, b).corners_polygon())
+                for a, b in zip(los, his)]
+        assert np.all(np.abs(mus - want) <= 1e-14 * np.array(want))
+        assert np.all(errs == 0.0)
 
 
 def test_luxemburg_closed_form_power_two():

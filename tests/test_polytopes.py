@@ -355,6 +355,59 @@ def test_weighted_measure_against_monte_carlo():
         assert abs(got - est) < 3e-3
 
 
+def _mp_edge_terms(v):
+    """The edge terms of the weighted measure of a ccw polygon, to 50 digits.
+
+    The textbook form d^3/3 (G(t_b) - G(t_a)) with the cross product a x b,
+    evaluated where neither cancellation costs a double's digits.
+    """
+    mp = pytest.importorskip("mpmath")
+    out = []
+    with mp.workdps(50):
+        pts = [[mp.mpf(float(c)) for c in p] for p in np.asarray(v, float)]
+        for a, b in zip(pts, pts[1:] + pts[:1]):
+            z = a[0] * b[1] - a[1] * b[0]
+            if z == 0:
+                continue
+            ex, ey = b[0] - a[0], b[1] - a[1]
+            length = mp.sqrt(ex * ex + ey * ey)
+            d = abs(z) / length
+
+            def g(p):
+                t = (p[0] * ex + p[1] * ey) / (length * d)
+                return (t * mp.sqrt(1 + t * t) + mp.asinh(t)) / 2
+
+            out.append(mp.sign(z) * d ** 3 / 3 * (g(b) - g(a)))
+    return out
+
+
+def _assert_within_summation_bound(got, terms):
+    # a sum of terms each good to a few ulps: |error| <= 64 eps sum |term|
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        want, scale = mp.fsum(terms), mp.fsum(abs(t) for t in terms)
+        err = abs(mp.mpf(got) - want)
+    assert float(err) <= 64.0 * np.finfo(float).eps * float(scale), (got, float(want))
+
+
+def test_weighted_measure_within_roundoff_of_its_terms():
+    # small polygons far from the origin: a x b and G(t_b) - G(t_a) both
+    # cancel in the textbook form, which is off by up to 4,300 eps sum |term|
+    # on these; the cancellation-free form stays near 2
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        s = 10.0 ** rng.uniform(-4.0, 1.0)
+        v = convex_hull_2d(s * rng.standard_normal((int(rng.integers(3, 9)), 2))
+                           + rng.uniform(-5.0, 5.0, 2))
+        _assert_within_summation_bound(polygon_weighted_measure(v), _mp_edge_terms(v))
+
+
+def test_cover_weighted_measure_within_roundoff_of_its_terms():
+    cover = cube_cover(Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 10)
+    terms = [t for box in cover.parts for t in _mp_edge_terms(box.corners_polygon())]
+    _assert_within_summation_bound(cover.weighted_measure().value, terms)
+
+
 def test_weighted_measure_translation_changes_value():
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     far = polygon_weighted_measure(tri + np.array([10.0, 0.0]))

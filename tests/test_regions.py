@@ -7,7 +7,9 @@ from scipy import integrate, special
 from scipy.spatial import ConvexHull
 
 from orliczval.errors import CapabilityError, DisjointnessError, DomainError
+from orliczval.functions import SimpleFunction
 from orliczval.polytopes import Polytope
+from orliczval.valuations import PolynomialComposer, psi
 from orliczval.regions import (
     Annulus,
     AxisBox,
@@ -21,6 +23,8 @@ from orliczval.regions import (
     moment,
     part_bounding_box,
     part_contains,
+    part_lebesgue,
+    part_moment,
     part_weighted_measure,
     symmetric_difference,
     unit_ball_volume,
@@ -451,6 +455,80 @@ def test_region_validation():
         OriginBall(1, 1.0)
     empty = Region([], dim=2)
     assert lebesgue(empty) == 0.0 and np.all(moment(empty) == 0.0)
+
+
+def test_axis_box_rejects_every_infinite_or_nan_bound():
+    for lo, hi in (([-math.inf, 0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, math.inf]),
+                   ([0.0, math.nan], [1.0, 1.0]), ([0.0, 0.0], [math.nan, 1.0])):
+        with pytest.raises(DomainError, match="all finite"):
+            AxisBox(lo, hi)
+
+
+def _per_part_sums(region, abs_tol=1e-9):
+    """Lebesgue measure, weighted measure, its bound and the moment, summed
+    part by part, with the sums of absolute values for the moment."""
+    mus = [part_weighted_measure(p, abs_tol) for p in region.parts]
+    vols, moments = [], []
+    for p in region.parts:
+        if isinstance(p, AxisBox):
+            vols.append(float(np.prod(p.hi - p.lo)))
+            moments.append(vols[-1] * 0.5 * (p.lo + p.hi))
+        else:
+            vols.append(part_lebesgue(p))
+            moments.append(part_moment(p))
+    moments = np.array(moments).reshape(-1, region.dim)
+    return (sum(vols), sum(v for v, _ in mus), sum(e for _, e in mus),
+            moments.sum(axis=0), np.abs(moments).sum(axis=0))
+
+
+def _mixed_regions():
+    rng = np.random.default_rng(31)
+    boxes2 = [AxisBox(lo, lo + rng.uniform(0.01, 0.5, 2))
+              for lo in rng.uniform(-3.0, 3.0, (40, 2))]
+    boxes3 = [AxisBox(lo, lo + rng.uniform(0.05, 0.5, 3))
+              for lo in rng.uniform(-2.0, 2.0, (6, 3))]
+    tri = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    return [
+        Region(boxes2[:20] + [Polytope(rng.uniform(-4.0, 4.0, (6, 2))), OriginBall(2, 0.4)]
+               + boxes2[20:] + [Annulus(2, 0.5, 0.7), ShiftedBall(2, 0.3, 2.5)]),
+        Region(boxes3[:3] + [OriginBall(3, 0.5), ShiftedBall(3, 0.2, -1.5)] + boxes3[3:]),
+        Region([], dim=2),
+        Region([], dim=3),
+        Region([tri, Annulus(2, 1.5, 2.0)]),
+        Region(boxes2[:1]),
+        cube_cover(tri, 6),
+    ]
+
+
+def test_region_sums_equal_per_part_sums():
+    # boxes are summed as one stack, the other parts one by one; the sums
+    # are linear, so the random parts need not be disjoint here
+    for region in _mixed_regions():
+        vol, mu, bound, mom, mom_abs = _per_part_sums(region)
+        assert abs(region.lebesgue() - vol) <= 1e-14 * vol
+        wm = region.weighted_measure()
+        assert abs(wm.value - mu) <= 1e-14 * mu
+        assert wm.error_bound == bound
+        assert np.all(np.abs(region.moment() - mom) <= 1e-14 * mom_abs)
+
+
+def test_box_regions_never_measure_a_part_at_a_time(monkeypatch):
+    import orliczval.regions as regions
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-part function was called")
+
+    tri = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    for name in ("part_weighted_measure", "part_lebesgue", "part_moment"):
+        monkeypatch.setattr(regions, name, refuse)
+    cover = cube_cover(tri, 12)
+    assert len(cover.parts) == 4095
+    vol = cover.lebesgue()
+    assert 0.5 - 2.0 ** -12 < vol < 0.5
+    assert 0.0 < cover.weighted_measure().value < tri.weighted_measure()
+    xi = PolynomialComposer([1.0, 0.5])
+    h = SimpleFunction.indicator(cover, 2.0)
+    assert np.allclose(psi(xi, h), float(xi(2.0)) * cover.moment(), rtol=1e-14, atol=0.0)
 
 
 def test_weighted_measure_cache_reuse():
