@@ -6,7 +6,7 @@ operations (pointwise max and min) are computed exactly by refining
 both operands onto one shared partition.  The partition comes from the
 one cell engine in ``regions`` (``refinement_cells``): radial parts and
 axis boxes are painted on one compressed grid, planar polygons are
-clipped, whichever algebra fits all parts.
+split pairwise, whichever algebra fits all parts.
 """
 
 from __future__ import annotations
@@ -123,13 +123,15 @@ def refine(f, g):
     The cells come from ``regions.refinement_cells``, one engine with
     three exact algebras: origin-centered radial parts and axis boxes of
     equal dimension are painted on one grid of compressed cuts, planar
-    polygons (2D boxes promoted) are clipped by half-planes.  Mixing
-    algebras raises a capability error; the caller can rasterize both
-    sides onto a GridFunction instead.
+    polygons (2D boxes promoted) are split pairwise by
+    ``polytopes.split_polygon``.  Cells where both sides vanish are
+    never built.  Mixing algebras raises a capability error; the caller
+    can rasterize both sides onto a GridFunction instead.
     """
     if f.dim != g.dim:
         raise DomainError("dimensions disagree")
-    cells = refinement_cells(_flatten(f), _flatten(g), f.dim)
+    cells = refinement_cells(_flatten(f), _flatten(g), f.dim,
+                             lambda a, b: (a != 0.0) | (b != 0.0))
     if cells is None:
         raise CapabilityError(
             "no exact common refinement for this part mix; rasterize both "

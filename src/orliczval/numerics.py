@@ -34,33 +34,30 @@ _EXPANSION = 2.0
 _MAX_EXPANSIONS = 2000
 
 
-def solve_monotone(f, target, lo=0.0, hi=None, rel_tol=_REL_TOL, increasing=True):
-    """Solve ``f(x) = target`` for monotone ``f`` on ``[lo, inf)``.
+def solve_monotone(f, target, lo=0.0, hi=None, rel_tol=_REL_TOL):
+    """Solve ``f(x) = target`` for nondecreasing ``f`` on ``[lo, inf)``.
 
     The upper bracket end is expanded geometrically (factor 2) from
     ``hi`` (default ``max(1, 2*lo)``) until the target is enclosed, so
-    that ``f(lo) < target <= f(hi)`` (for increasing ``f``).  The
-    bracket is then narrowed by the safeguarded Illinois step of the
-    module docstring down to relative width ``rel_tol``: superlinear on
-    smooth ``f``, and at most about three times bisection's count of
-    steps on any ``f``.
+    that ``f(lo) < target <= f(hi)``.  The bracket is then narrowed by
+    the safeguarded Illinois step of the module docstring down to
+    relative width ``rel_tol``: superlinear on smooth ``f``, and at most
+    about three times bisection's count of steps on any ``f``.
 
     Parameters
     ----------
     f : callable
-        Monotone function of one float argument.  ``inf`` return values
-        are tolerated and treated as larger than any target.
+        Nondecreasing function of one float argument.  ``inf`` return
+        values are tolerated and treated as larger than any target.
     target : float
         Right-hand side.
     lo : float
-        Lower end of the search interval; ``f(lo)`` must lie on the
-        correct side of ``target``.
+        Lower end of the search interval; ``f(lo)`` must not exceed
+        ``target``.
     hi : float, optional
         Initial upper end for the expansion phase.
     rel_tol : float
         Relative width of the final bracket.
-    increasing : bool
-        Direction of monotonicity.
 
     Returns
     -------
@@ -73,38 +70,35 @@ def solve_monotone(f, target, lo=0.0, hi=None, rel_tol=_REL_TOL, increasing=True
         If the target cannot be enclosed after repeated expansion, with
         the last bracket and function values in the message.
     """
-    sign = 1.0 if increasing else -1.0
-
     def g(x):
         y = f(x)
         if math.isnan(y):
             raise BracketError(f"f({x!r}) is NaN while solving for {target!r}")
-        return sign * y
+        return y
 
-    goal = sign * target
     flo = g(lo)
-    if flo > goal:
+    if flo > target:
         raise BracketError(
-            f"lower end does not bracket: f({lo!r}) = {sign * flo!r} "
+            f"lower end does not bracket: f({lo!r}) = {flo!r} "
             f"already past target {target!r}"
         )
     if hi is None:
         hi = max(1.0, 2.0 * lo)
     fhi = g(hi)
     n = 0
-    while fhi < goal:
+    while fhi < target:
         lo, flo = hi, fhi
         hi *= _EXPANSION
         fhi = g(hi)
         n += 1
         if n > _MAX_EXPANSIONS or not math.isfinite(hi):
             raise BracketError(
-                f"no bracket after {n} expansions: f({hi!r}) = {sign * fhi!r}, "
+                f"no bracket after {n} expansions: f({hi!r}) = {fhi!r}, "
                 f"target {target!r}"
             )
     # residuals at the ends, ``moved`` the end the last step replaced
     # (+1 lo, -1 hi), ``hits`` the exact hits of the target so far
-    rlo, rhi = flo - goal, fhi - goal
+    rlo, rhi = flo - target, fhi - target
     moved, hits = 0, int(rhi == 0.0)
     # the bracket width two interpolation steps ago, and the steps since
     ref, steps = hi - lo, 0
@@ -123,7 +117,7 @@ def solve_monotone(f, target, lo=0.0, hi=None, rel_tol=_REL_TOL, increasing=True
         else:
             x = min(max(lo + t * width, lo + 0.25 * tol), hi - 0.25 * tol)
             steps += 1
-        y = g(x) - goal
+        y = g(x) - target
         if y < 0.0:
             lo, rlo = x, y
             if moved > 0:

@@ -5,8 +5,11 @@ and visibility) compares against one tolerance rule, ``_tolerances``,
 relative to each object's own extent and never below the roundoff of
 its coordinates, so the answers for ``2^k P`` are those for ``P``,
 scaled.  2D geometry reduces to cross products of the input
-coordinates.  Higher dimensions lean on qhull for hull extraction and
-decompose into simplices for volumes and moments.
+coordinates; planar clipping is one Sutherland-Hodgman walk,
+``split_polygon``, which gives a polygon's overlap with another and
+the convex pieces of its remainder together.  Higher dimensions lean
+on qhull for hull extraction and decompose into simplices for volumes
+and moments.
 """
 
 from __future__ import annotations
@@ -111,13 +114,13 @@ def polygon_area(v):
 
 
 def polygon_moment(v):
-    """Exact integral of x over a ccw polygon, by fanning into triangles."""
+    """Exact integral of x over a ccw polygon, fanned into triangles from ``v[0]``."""
     v = np.asarray(v, float)
-    out = np.zeros(2)
-    for i in range(1, len(v) - 1):
-        z = 0.5 * _cross(v[i] - v[0], v[i + 1] - v[0])
-        out += z * (v[0] + v[i] + v[i + 1]) / 3.0
-    return out
+    if len(v) < 3:
+        return np.zeros(2)
+    d = v[1:] - v[0]
+    z = 0.5 * (d[:-1, 0] * d[1:, 1] - d[:-1, 1] * d[1:, 0])
+    return z @ (v[0] + v[1:-1] + v[2:]) / 3.0
 
 
 def edge_weighted_measures(a, b):
@@ -513,29 +516,19 @@ class PlanarCoefficients:
     c3t: float = 0.0
 
 
-def _visible_cone(poly):
-    chain = visible_vertices(poly)
-    pts = np.vstack([np.zeros((1, 2)), chain]) if len(chain) else np.zeros((1, 2))
-    return Polytope(pts)
-
-
 def planar_valuation(poly, coeffs):
     """Planar six-coefficient family combining moments and edge terms.
 
     value = c1*m(Q) + c1t*m([0,Q]) + c2*e([0,Q]) + c3*h([0,Q])
           + c2t*e([0,u_1..u_r]) + c3t*h([0,u_1..u_r]),
-    where u_1..u_r is the visible chain of Q.  The chain terms vanish
+    where u_1..u_r is the visible chain of Q: the moments plus
+    ``_edge_basis(Q) @ (c2, c2t, c3, c3t)``.  The chain terms vanish
     when the cone over the chain is lower-dimensional.
     """
     if poly.dim != 2:
         raise DomainError("the six-coefficient family is planar")
-    cone = cone_hull(poly)
-    out = coeffs.c1 * poly.moment() + coeffs.c1t * cone.moment()
-    out = out + coeffs.c2 * edge_sum(cone) + coeffs.c3 * visible_span(cone)
-    vis = _visible_cone(poly)
-    if vis.rank == 2:
-        out = out + coeffs.c2t * edge_sum(vis) + coeffs.c3t * visible_span(vis)
-    return out
+    out = coeffs.c1 * poly.moment() + coeffs.c1t * cone_hull(poly).moment()
+    return out + _edge_basis(poly) @ np.array([coeffs.c2, coeffs.c2t, coeffs.c3, coeffs.c3t])
 
 
 def spatial_valuation(poly, c1, c2):
@@ -549,7 +542,7 @@ def _edge_basis(poly):
     """Columns multiply (c2, c2t, c3, c3t) in the planar family."""
     cone = cone_hull(poly)
     cols = [edge_sum(cone), np.zeros(2), visible_span(cone), np.zeros(2)]
-    vis = _visible_cone(poly)
+    vis = Polytope(np.vstack([np.zeros((1, 2)), visible_vertices(poly)]))
     if vis.rank == 2:
         cols[1] = edge_sum(vis)
         cols[3] = visible_span(vis)
@@ -751,35 +744,28 @@ def _tidy(v, tol, eps):
     return v
 
 
-def intersect_polygons(p, q):
-    """Intersection of two ccw convex polygons, or None when negligible.
+def split_polygon(p, q):
+    """Split the ccw convex polygon ``p`` by the ccw convex polygon ``q``.
 
-    Negligible means below the tolerances of the pair (``_tolerances``).
+    Returns ``(inside, pieces)``: ``p`` meet ``q``, or None when it is
+    negligible under the tolerances of the pair (``_tolerances``), and
+    convex pieces whose disjoint union is ``p`` minus ``q``.  One walk
+    over the edges of ``q`` (Sutherland-Hodgman): at each edge, the part
+    of what is left that lies outside the edge becomes a piece, and the
+    rest goes on to the next edge; what stays inside every edge is
+    ``inside``.  When ``inside`` is None, ``p`` comes back whole as the
+    one piece.  At most two half-plane clips per edge of ``q``.
     """
     p = np.asarray(p, float)
     q = np.asarray(q, float)
     tol, eps, _ = _tolerances(np.vstack([p, q]))
-    out = p
-    for i in range(len(q)):
-        out = _clip_halfplane(out, q[i], q[(i + 1) % len(q)] - q[i], eps)
-        if len(out) == 0:
-            return None
-    return _tidy(out, tol, eps)
-
-
-def subtract_polygon(p, q):
-    """Convex pieces whose disjoint union is p minus q."""
-    p = np.asarray(p, float)
-    q = np.asarray(q, float)
-    tol, eps, _ = _tolerances(np.vstack([p, q]))
-    pieces = []
-    for i in range(len(q)):
-        piece = _clip_halfplane(p, q[i], q[i] - q[(i + 1) % len(q)], eps)
-        for j in range(i):
-            if len(piece) == 0:
-                break
-            piece = _clip_halfplane(piece, q[j], q[(j + 1) % len(q)] - q[j], eps)
-        piece = _tidy(piece, tol, eps)
+    rest, pieces = p, []
+    for a, e in zip(*_edges(q)):
+        piece = _tidy(_clip_halfplane(rest, a, -e, eps), tol, eps)
         if piece is not None:
             pieces.append(piece)
-    return pieces
+        rest = _clip_halfplane(rest, a, e, eps)
+        if len(rest) == 0:
+            break
+    inside = _tidy(rest, tol, eps)
+    return (None, [p]) if inside is None else (inside, pieces)

@@ -10,9 +10,11 @@ Gauss rules for boxes in dimension >= 3, 3D polytopes and shifted balls
 
 The common refinement of two lists of valued parts lives here too, in
 one cell engine (``refinement_cells``) that ``functions.refine`` and
-``symmetric_difference`` both read.  It has three exact algebras:
-radial parts and axis boxes are intervals painted on one grid of
-compressed cuts, and 2D boxes and polygons are clipped by half-planes.
+``symmetric_difference`` both read, each with its own rule for which
+cells to build.  It has three exact algebras: radial parts and axis
+boxes are intervals painted on one grid of compressed cuts, and 2D
+boxes and polygons are split against each other by
+``polytopes.split_polygon``.
 """
 
 from __future__ import annotations
@@ -38,10 +40,9 @@ from .polytopes import (
     _edge_margin,
     _edges,
     _tolerances,
-    intersect_polygons,
     polygon_weighted_measure,
     rectangle_weighted_measures,
-    subtract_polygon,
+    split_polygon,
 )
 
 
@@ -280,7 +281,9 @@ class Region:
     (dimension 2, by ``rectangle_weighted_measures``) take one array pass
     over them, however many there are.  The other parts, and boxes in
     dimension >= 3 for the weighted measure, go through the per-part
-    functions.
+    functions.  For the weighted measure, each of those parts in turn is
+    asked for an equal share of what the parts before it left of
+    ``abs_tol``, so the region's error bound never exceeds ``abs_tol``.
     """
 
     def __init__(self, parts, dim=None):
@@ -327,9 +330,14 @@ class Region:
                 rest = self.parts  # boxes take the facet reduction one by one
             elif boxes:
                 value = float(rectangle_weighted_measures(*boxes).sum())
-            vals = [part_weighted_measure(p, abs_tol) for p in rest]
-            self._mu_cache[key] = WeightedMeasure(
-                value + sum(v for v, _ in vals), sum(e for _, e in vals))
+            # each part measured one at a time gets an equal share of what
+            # the parts before it left of abs_tol
+            bound = 0.0
+            for k, p in enumerate(rest):
+                v, e = part_weighted_measure(p, (abs_tol - bound) / (len(rest) - k))
+                value += v
+                bound += e
+            self._mu_cache[key] = WeightedMeasure(value, bound)
         return self._mu_cache[key]
 
     def moment(self):
@@ -416,7 +424,7 @@ def _check_pair_disjoint(a, b, rng, samples):
         return
     pa, pb = _as_polygon(a), _as_polygon(b)
     if pa is not None and pb is not None:
-        if intersect_polygons(pa, pb) is not None:
+        if split_polygon(pa, pb)[0] is not None:
             raise DisjointnessError(f"polygon overlap between {a!r} and {b!r}")
         return
     _monte_carlo_collision(a, b, rng, samples)
@@ -438,7 +446,7 @@ def lebesgue(region):
 
 
 def weighted_measure(region, abs_tol=1e-9):
-    """Sum of part weighted measures, with the aggregated error bound."""
+    """Sum of part weighted measures, with an aggregated error bound <= ``abs_tol``."""
     return region.weighted_measure(abs_tol)
 
 
@@ -460,11 +468,11 @@ def estimate_weighted_measure(region, samples=200_000, rng=None):
 
 # -- common refinement -----------------------------------------------------
 
-def _painted_cells(fparts, gparts, bounds, make):
+def _painted_cells(fparts, gparts, keep, bounds, make):
     # Parts are axis intervals [lo, hi), with bounds(part) = (lo, hi) as
     # scalars (one axis) or vectors.  The cuts on each axis are compressed,
     # each side adds its values over the grid slice of every part, and
-    # make(lo, hi) builds the cells where either side is nonzero, in C order.
+    # make(lo, hi) builds the cells that keep(a, b) admits, in C order.
     pairs = fparts + gparts
     if not pairs:
         return []
@@ -475,7 +483,7 @@ def _painted_cells(fparts, gparts, bounds, make):
     for k, ((value, _), (start, stop)) in enumerate(zip(pairs, slots.tolist())):
         sides[(int(k >= len(fparts)),) + tuple(map(slice, start, stop))] += value
     a, b = sides
-    idx = np.argwhere((a != 0.0) | (b != 0.0))
+    idx = np.argwhere(keep(a, b))
     cell_lo = np.stack([c[i] for c, i in zip(cuts, idx.T)], 1).tolist()
     cell_hi = np.stack([c[i + 1] for c, i in zip(cuts, idx.T)], 1).tolist()
     at = tuple(idx.T)
@@ -483,71 +491,77 @@ def _painted_cells(fparts, gparts, bounds, make):
             in zip(cell_lo, cell_hi, a[at].tolist(), b[at].tolist())]
 
 
-def _clipped_cells(fpolys, gpolys):
-    cells = []
-    for va, p in fpolys:
+def _clipped_cells(fpolys, gpolys, keep):
+    # each pair that meets gives one cell, and each polygon's remainder is
+    # split only by the polygons of the other side that it meets
+    cells, met = [], set()
+    for i, (va, p) in enumerate(fpolys):
         rest = [p]
-        for vb, q in gpolys:
-            inter = intersect_polygons(p, q)
-            if inter is not None:
-                cells.append((Polytope(inter), va, vb))
-            rest = [piece for r in rest for piece in subtract_polygon(r, q)]
-        for r in rest:
-            cells.append((Polytope(r), va, 0.0))
-    for vb, q in gpolys:
+        for j, (vb, q) in enumerate(gpolys):
+            inside, _ = split_polygon(p, q)
+            if inside is not None:
+                met.add((i, j))
+                rest = [s for r in rest for s in split_polygon(r, q)[1]]
+                if keep(va, vb):
+                    cells.append((Polytope(inside), va, vb))
+        cells += [(Polytope(r), va, 0.0) for r in rest if keep(va, 0.0)]
+    for j, (vb, q) in enumerate(gpolys):
         rest = [q]
-        for _, p in fpolys:
-            rest = [piece for r in rest for piece in subtract_polygon(r, p)]
-        for r in rest:
-            cells.append((Polytope(r), 0.0, vb))
+        for i, (_, p) in enumerate(fpolys):
+            if (i, j) in met:
+                rest = [s for r in rest for s in split_polygon(r, p)[1]]
+        cells += [(Polytope(r), 0.0, vb) for r in rest if keep(0.0, vb)]
     return cells
 
 
-def refinement_cells(fparts, gparts, dim):
+def refinement_cells(fparts, gparts, dim, keep):
     """Common refinement of two lists of ``(value, part)`` pairs.
 
     Returns the ``(part, a, b)`` cells of one disjoint partition, where
-    ``a`` and ``b`` are each side's summed values on the cell; cells
-    where both sides vanish are left out.  One of three exact algebras
-    must hold every part.  Radial parts are the 1-axis intervals
-    ``[inner, outer)`` in |x| and axis boxes the n-axis intervals
-    ``[lo, hi)``; both are painted on one grid of compressed cuts, so
-    the cost follows the number of cells.  2D boxes and polygons are
-    clipped against each other by half-planes.  Returns None when no
-    algebra fits.
+    ``a`` and ``b`` are each side's summed values on the cell, and
+    ``keep(a, b)`` (on scalars or arrays) admits a cell before it is
+    built: ``refine`` keeps the cells where either side is nonzero,
+    ``symmetric_difference`` those where exactly one is.  One of three
+    exact algebras must hold every part.  Radial parts are the 1-axis
+    intervals ``[inner, outer)`` in |x| and axis boxes the n-axis
+    intervals ``[lo, hi)``; both are painted on one grid of compressed
+    cuts, so the cost follows the number of cells.  2D boxes and
+    polygons are split against each other by ``split_polygon``, one
+    walk over the other polygon's edges per pair that meets.  Returns
+    None when no algebra fits.
     """
     parts = [p for _, p in fparts + gparts]
     if all(isinstance(p, _RADIAL) for p in parts):
-        return _painted_cells(fparts, gparts, radial_interval,
+        return _painted_cells(fparts, gparts, keep, radial_interval,
                               lambda lo, hi: radial_part(dim, lo[0], hi[0]))
     if all(isinstance(p, AxisBox) for p in parts):
-        return _painted_cells(fparts, gparts, lambda box: (box.lo, box.hi), AxisBox)
+        return _painted_cells(fparts, gparts, keep, lambda box: (box.lo, box.hi), AxisBox)
     fpolys = [(v, _as_polygon(p)) for v, p in fparts]
     gpolys = [(v, _as_polygon(p)) for v, p in gparts]
     if all(p is not None for _, p in fpolys + gpolys):
-        return _clipped_cells(fpolys, gpolys)
+        return _clipped_cells(fpolys, gpolys, keep)
     return None
 
 
 def symmetric_difference(r1, r2):
     """Exact symmetric difference, read from the common refinement.
 
-    Every part of each region carries the value 1.0, and the cells of
-    ``refinement_cells`` where exactly one side is nonzero are kept:
-    grid cells for radial parts and axis boxes, clipped pieces for 2D
-    boxes and polygons.  Anything else raises a capability error naming
-    the Monte Carlo fallback.
+    Every part of each region carries the value 1.0, and
+    ``refinement_cells`` builds only the cells where exactly one side is
+    nonzero: grid cells for radial parts and axis boxes, split pieces
+    for 2D boxes and polygons.  Anything else raises a capability error
+    naming the Monte Carlo fallback.
     """
     if r1.dim != r2.dim:
         raise DomainError("dimensions disagree")
     cells = refinement_cells([(1.0, p) for p in r1.parts],
-                             [(1.0, p) for p in r2.parts], r1.dim)
+                             [(1.0, p) for p in r2.parts], r1.dim,
+                             lambda a, b: (a != 0.0) != (b != 0.0))
     if cells is None:
         raise CapabilityError(
             "symmetric difference outside the radial/box/2D-polygon algebra; "
             "use estimate_symmetric_difference (Monte Carlo) instead")
-    return Region([part for part, a, b in cells if (a == 0.0) != (b == 0.0)],
-                  dim=r1.dim)
+    return Region([part for part, _, _ in cells], dim=r1.dim)
 
 
 def estimate_symmetric_difference(r1, r2, samples=200_000, rng=None):

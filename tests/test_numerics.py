@@ -24,19 +24,18 @@ from test_norms import _reference_orlicz, _shells
 REL_TOL = 1e-12
 
 
-def _solve(f, target, increasing=True, **kw):
+def _solve(f, target, **kw):
     """The answer, the evaluation count and the final bracket of a solve."""
     seen = []
 
     def counted(x):
         y = f(x)
-        seen.append((x, y if increasing else -y))
+        seen.append((x, y))
         return y
 
-    x = solve_monotone(counted, target, rel_tol=REL_TOL, increasing=increasing, **kw)
-    goal = target if increasing else -target
-    lo = max(p for p, y in seen if y < goal)
-    hi = min(p for p, y in seen if y >= goal)
+    x = solve_monotone(counted, target, rel_tol=REL_TOL, **kw)
+    lo = max(p for p, y in seen if y < target)
+    hi = min(p for p, y in seen if y >= target)
     return x, len(seen), lo, hi
 
 
@@ -109,10 +108,7 @@ def test_adversarial_functions_cost_at_most_a_few_steps_over_bisection(f, target
     assert _solve(f, target)[1] <= _bisection_count(f, target) + 8
 
 
-def test_decreasing_functions_and_the_lower_end():
-    x, _, lo, hi = _solve(lambda t: -t ** 3, -0.3, increasing=False)
-    assert math.isclose(x, 0.3 ** (1.0 / 3.0), rel_tol=REL_TOL)
-    assert lo < x < hi
+def test_lower_end_past_the_target_raises():
     with pytest.raises(BracketError, match="lower end"):
         solve_monotone(lambda t: t + 1.0, 0.5)
 

@@ -16,7 +16,6 @@ from orliczval.polytopes import (
     convex_hull_2d,
     diagonal_unimodular,
     edge_sum,
-    intersect_polygons,
     planar_valuation,
     polygon_area,
     polygon_moment,
@@ -24,7 +23,7 @@ from orliczval.polytopes import (
     random_unimodular,
     shear,
     spatial_valuation,
-    subtract_polygon,
+    split_polygon,
     visible_span,
     visible_vertices,
 )
@@ -632,36 +631,91 @@ def test_diagonal_unimodular():
 
 # -- clipping --------------------------------------------------------------
 
-def test_intersect_and_subtract_squares():
+def _overlap_area(a, b):
+    inside, _ = split_polygon(a, b)
+    return 0.0 if inside is None else polygon_area(inside)
+
+
+def test_split_squares():
     a = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     b = a + np.array([0.5, 0.5])
-    inter = intersect_polygons(a, b)
-    assert abs(polygon_area(inter) - 0.25) < 1e-12
-    pieces = subtract_polygon(a, b)
+    inside, pieces = split_polygon(a, b)
+    assert abs(polygon_area(inside) - 0.25) < 1e-12
     assert abs(sum(polygon_area(p) for p in pieces) - 0.75) < 1e-12
     for p in pieces:
         assert polygon_area(p) > 0.0
-        overlap = intersect_polygons(p, b)
-        assert overlap is None or polygon_area(overlap) < 1e-9
+        assert _overlap_area(p, b) < 1e-9
 
 
-def test_subtract_disjoint_and_containing():
+def test_split_disjoint_and_containing():
     a = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     far = a + np.array([5.0, 0.0])
-    assert intersect_polygons(a, far) is None
-    assert abs(sum(polygon_area(p) for p in subtract_polygon(a, far)) - 1.0) < 1e-12
+    inside, pieces = split_polygon(a, far)
+    assert inside is None
+    assert len(pieces) == 1 and np.array_equal(pieces[0], a)
     big = np.array([[-1.0, -1.0], [2.0, -1.0], [2.0, 2.0], [-1.0, 2.0]])
-    assert subtract_polygon(a, big) == []
+    inside, pieces = split_polygon(a, big)
+    assert np.array_equal(inside, a) and pieces == []
 
 
-def test_clipping_area_identity_random():
+def test_split_touching_polygons_leave_the_first_whole():
+    # sharing an edge, or a corner, is a negligible intersection
+    a = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    for shift in ([1.0, 0.0], [1.0, 1.0], [0.5, -1.0]):
+        inside, pieces = split_polygon(a, a + np.array(shift))
+        assert inside is None
+        assert len(pieces) == 1 and np.array_equal(pieces[0], a)
+
+
+def test_split_area_identity_random():
     rng = np.random.default_rng(97)
     for _ in range(25):
         a = _random_polygon(rng, np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
         b = _random_polygon(rng, np.array([-1.2, -0.8]), np.array([0.8, 1.2]))
         if len(a) < 3 or len(b) < 3:
             continue
-        inter = intersect_polygons(a, b)
-        inter_area = 0.0 if inter is None else polygon_area(inter)
-        rest = sum(polygon_area(p) for p in subtract_polygon(a, b))
-        assert abs(polygon_area(a) - inter_area - rest) < 1e-9
+        inside, pieces = split_polygon(a, b)
+        inside_area = 0.0 if inside is None else polygon_area(inside)
+        rest = sum(polygon_area(p) for p in pieces)
+        assert abs(polygon_area(a) - inside_area - rest) < 1e-9
+
+
+def test_split_pieces_and_inside_are_disjoint_random():
+    rng = np.random.default_rng(211)
+    seen = 0
+    for _ in range(60):
+        a = _random_polygon(rng, np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+        b = _random_polygon(rng, np.array([-1.5, -0.5]), np.array([0.5, 1.5]))
+        if len(a) < 3 or len(b) < 3:
+            continue
+        inside, pieces = split_polygon(a, b)
+        cells = pieces + ([] if inside is None else [inside])
+        assert abs(sum(polygon_area(c) for c in cells) - polygon_area(a)) < 1e-9
+        for k, c in enumerate(cells):
+            assert polygon_area(c) > 0.0
+            # every cell lies in a; the pieces miss b and one another
+            assert abs(_overlap_area(c, a) - polygon_area(c)) < 1e-9
+            if c is not inside:
+                assert _overlap_area(c, b) < 1e-9
+            for d in cells[k + 1:]:
+                assert _overlap_area(c, d) < 1e-9
+        seen += inside is not None and len(pieces) > 0
+    assert seen >= 10
+
+
+def test_split_clips_at_most_twice_per_edge(monkeypatch):
+    calls = []
+    clip = polytopes._clip_halfplane
+
+    def counted(*args):
+        calls.append(1)
+        return clip(*args)
+
+    monkeypatch.setattr(polytopes, "_clip_halfplane", counted)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        a = _random_polygon(rng, np.array([-1.0, -1.0]), np.array([1.0, 1.0]), k=12)
+        b = _random_polygon(rng, np.array([-1.0, -1.0]), np.array([1.0, 1.0]), k=12)
+        calls.clear()
+        split_polygon(a, b)
+        assert 0 < len(calls) <= 2 * len(b)

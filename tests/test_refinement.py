@@ -204,6 +204,29 @@ def test_symmetric_difference_is_the_one_sided_cells_of_refine():
     assert seen == {"radial", "box", "polygon"}
 
 
+def test_polygon_symmetric_difference_builds_no_overlap_cell(monkeypatch):
+    import orliczval.regions as regions
+
+    built = []
+
+    class Counted(Polytope):
+        def __init__(self, points):
+            built.append(1)
+            super().__init__(points)
+
+    hexagon = [[np.cos(t), np.sin(t)] for t in np.arange(6) * np.pi / 3.0]
+    r1 = Region([Counted(hexagon), Counted(np.add(hexagon, [3.0, 0.0]))])
+    r2 = Region([Counted(np.add(hexagon, [0.8, 0.3])), Counted(np.add(hexagon, [2.8, -0.4]))])
+    monkeypatch.setattr(regions, "Polytope", Counted)
+    built.clear()
+    d = symmetric_difference(r1, r2)
+    # one Polytope per kept piece, none for the two overlaps
+    assert len(built) == len(d.parts) > 0
+    overlap = sum(a.weighted_measure() for a in r1.parts) + sum(
+        b.weighted_measure() for b in r2.parts) - weighted_measure(d).value
+    assert overlap > 0.1
+
+
 @pytest.mark.parametrize("dim", [2, 3, 5])
 def test_adjacent_radial_intervals_measure_as_their_union(dim):
     for inner, mid, outer in ((0.0, 1.0, 2.0), (0.5, 1.0, 2.0), (1.0, 2.0, 3.0)):

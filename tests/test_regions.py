@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate, special
 from scipy.spatial import ConvexHull
 
-from orliczval.errors import CapabilityError, DisjointnessError, DomainError
+from orliczval.errors import AccuracyError, CapabilityError, DisjointnessError, DomainError
 from orliczval.functions import SimpleFunction
 from orliczval.polytopes import Polytope
 from orliczval.valuations import PolynomialComposer, psi
@@ -466,8 +466,16 @@ def test_axis_box_rejects_every_infinite_or_nan_bound():
 
 def _per_part_sums(region, abs_tol=1e-9):
     """Lebesgue measure, weighted measure, its bound and the moment, summed
-    part by part, with the sums of absolute values for the moment."""
-    mus = [part_weighted_measure(p, abs_tol) for p in region.parts]
+    part by part, with the sums of absolute values for the moment.  Each
+    part outside the 2D box stack gets an equal share of what the ones
+    before it left of ``abs_tol``."""
+    stacked = [isinstance(p, AxisBox) and p.dim == 2 for p in region.parts]
+    rest = [p for p, s in zip(region.parts, stacked) if not s]
+    mus = [part_weighted_measure(p) for p, s in zip(region.parts, stacked) if s]
+    bound = 0.0
+    for k, p in enumerate(rest):
+        mus.append(part_weighted_measure(p, (abs_tol - bound) / (len(rest) - k)))
+        bound += mus[-1][1]
     vols, moments = [], []
     for p in region.parts:
         if isinstance(p, AxisBox):
@@ -510,6 +518,21 @@ def test_region_sums_equal_per_part_sums():
         assert abs(wm.value - mu) <= 1e-14 * mu
         assert wm.error_bound == bound
         assert np.all(np.abs(region.moment() - mom) <= 1e-14 * mom_abs)
+
+
+def test_region_weighted_measure_meets_abs_tol_as_a_whole():
+    # each part alone meets the full abs_tol, so before the shares the
+    # four balls' bounds summed to 1.0005e-12 and the six boxes' to 1.2 * 3e-13
+    balls = Region([ShiftedBall(3, 0.5, 2.0 + 3.0 * i) for i in range(4)])
+    boxes = Region([AxisBox([i, 0.0, 0.0], [i + 1.0, 1.0, 1.0]) for i in range(6)])
+    for region, abs_tol in ((balls, 1e-12), (balls, 1e-13), (boxes, 4e-13), (boxes, 1e-9)):
+        wm = region.weighted_measure(abs_tol)
+        assert 0.0 < wm.error_bound <= abs_tol
+        parts = sum(part_weighted_measure(p, 1e-9)[0] for p in region.parts)
+        assert abs(wm.value - parts) <= wm.error_bound + 1e-9
+    # the boxes' roundoff terms alone sum above 3e-13: no share can meet it
+    with pytest.raises(AccuracyError):
+        boxes.weighted_measure(3e-13)
 
 
 def test_box_regions_never_measure_a_part_at_a_time(monkeypatch):
