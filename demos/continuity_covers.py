@@ -38,7 +38,7 @@ for depth in range(0, 11, 2):
     radius = (3.0 * mu_gap / np.pi) ** (1.0 / 3.0)
     dist = indicator_norm(phi, Region([OriginBall(2, radius)]))
     m_gap = float(np.max(np.abs(cover.moment() - m_tri)))
-    print(f"  {depth:4d}  {len(cover.parts):5d}  {lam_gap:.3e}  "
+    print(f"  {depth:4d}  {len(cover):5d}  {lam_gap:.3e}  "
           f"{mu_gap:.3e}  {dist:.6f}        {m_gap:.3e}")
 
 print()

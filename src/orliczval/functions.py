@@ -18,7 +18,7 @@ import numpy as np
 from .errors import CapabilityError, DomainError
 from .polytopes import rectangle_weighted_measures
 # part_contains stays bound here: bench/tests checks that tracing wraps it here too
-from .regions import Region, part_contains, refinement_cells  # noqa: F401
+from .regions import Region, _box_hull, part_contains, refinement_cells  # noqa: F401
 
 
 class SimpleFunction:
@@ -68,17 +68,11 @@ class SimpleFunction:
         return out
 
     def support_box(self):
-        if not self.terms:
-            z = np.zeros(self.dim)
-            return z, z
-        boxes = [r.bounding_box() for _, r in self.terms]
-        return (np.min([b[0] for b in boxes], axis=0),
-                np.max([b[1] for b in boxes], axis=0))
+        return _box_hull([r.bounding_box() for _, r in self.terms], self.dim)
 
     def check_disjoint(self, rng=None, samples=4000):
-        all_parts = [p for _, r in self.terms for p in r.parts]
-        Region(all_parts, dim=self.dim).check_disjoint(rng, samples)
-        return True
+        parts = [p for _, r in self.terms for p in r.parts]
+        return Region(parts, dim=self.dim).check_disjoint(rng, samples)
 
     def to_json(self):
         return {"dim": self.dim,

@@ -527,8 +527,9 @@ def planar_valuation(poly, coeffs):
     """
     if poly.dim != 2:
         raise DomainError("the six-coefficient family is planar")
-    out = coeffs.c1 * poly.moment() + coeffs.c1t * cone_hull(poly).moment()
-    return out + _edge_basis(poly) @ np.array([coeffs.c2, coeffs.c2t, coeffs.c3, coeffs.c3t])
+    cone = cone_hull(poly)
+    out = coeffs.c1 * poly.moment() + coeffs.c1t * cone.moment()
+    return out + _edge_basis(poly, cone) @ np.array([coeffs.c2, coeffs.c2t, coeffs.c3, coeffs.c3t])
 
 
 def spatial_valuation(poly, c1, c2):
@@ -538,9 +539,9 @@ def spatial_valuation(poly, c1, c2):
     return c1 * poly.moment() + c2 * cone_hull(poly).moment()
 
 
-def _edge_basis(poly):
-    """Columns multiply (c2, c2t, c3, c3t) in the planar family."""
-    cone = cone_hull(poly)
+def _edge_basis(poly, cone=None):
+    """Columns multiply (c2, c2t, c3, c3t) in the planar family; cone is [0, poly]."""
+    cone = cone_hull(poly) if cone is None else cone
     cols = [edge_sum(cone), np.zeros(2), visible_span(cone), np.zeros(2)]
     vis = Polytope(np.vstack([np.zeros((1, 2)), visible_vertices(poly)]))
     if vis.rank == 2:

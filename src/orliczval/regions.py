@@ -84,18 +84,22 @@ class Annulus:
         return f"Annulus(dim={self.dim}, inner={self.inner}, outer={self.outer})"
 
 
+def _box_bounds(lo, hi, ndim):
+    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
+    if lo.shape != hi.shape or lo.ndim != ndim:
+        raise DomainError("lo and hi must be equal-length vectors")
+    if lo.shape[-1] < 2:
+        raise DomainError("regions live in dimension >= 2")
+    if not ((-math.inf < lo) & (lo < hi) & (hi < math.inf)).all():
+        raise DomainError("need lo < hi on every axis, all finite")
+    return lo, hi
+
+
 class AxisBox:
     """Half-open axis-aligned box prod [lo_i, hi_i)."""
 
     def __init__(self, lo, hi):
-        self.lo = np.asarray(lo, float)
-        self.hi = np.asarray(hi, float)
-        if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
-            raise DomainError("lo and hi must be equal-length vectors")
-        if len(self.lo) < 2:
-            raise DomainError("regions live in dimension >= 2")
-        if not ((-math.inf < self.lo) & (self.lo < self.hi) & (self.hi < math.inf)).all():
-            raise DomainError("need lo < hi on every axis, all finite")
+        self.lo, self.hi = _box_bounds(lo, hi, 1)
         self.dim = len(self.lo)
 
     def corners_polygon(self):
@@ -237,6 +241,14 @@ def part_bounding_box(part):
     raise DomainError(f"unknown region part {part!r}")
 
 
+def _box_hull(bounds, dim):
+    # least box holding every (lo, hi) in bounds, vectors or stacks; zeros if none
+    if not bounds:
+        return np.zeros(dim), np.zeros(dim)
+    return (np.vstack([b[0] for b in bounds]).min(axis=0),
+            np.vstack([b[1] for b in bounds]).max(axis=0))
+
+
 def part_to_json(part):
     if isinstance(part, Polytope):
         return {"kind": "polytope", **part.to_json()}
@@ -276,14 +288,13 @@ class Region:
     enforced; ``check_disjoint`` verifies it exactly where the part
     pairing allows and by collision sampling otherwise.
 
-    The axis boxes are stacked once, on first use, into ``(lo, hi)``
-    arrays: volume and moment (any dimension) and the weighted measure
-    (dimension 2, by ``rectangle_weighted_measures``) take one array pass
-    over them, however many there are.  The other parts, and boxes in
-    dimension >= 3 for the weighted measure, go through the per-part
-    functions.  For the weighted measure, each of those parts in turn is
-    asked for an equal share of what the parts before it left of
-    ``abs_tol``, so the region's error bound never exceeds ``abs_tol``.
+    The axis boxes are stacked once into ``(lo, hi)`` arrays, which
+    volume, moment, bounding box and the 2D weighted measure (by
+    ``rectangle_weighted_measures``) read in one pass; ``from_boxes``
+    starts from such a stack and builds the ``AxisBox`` parts only when
+    ``parts`` is read.  Other parts, and boxes in dimension >= 3 for the
+    weighted measure, go one by one through the per-part functions, each
+    asked for an equal share of what the parts before it left of ``abs_tol``.
     """
 
     def __init__(self, parts, dim=None):
@@ -298,9 +309,27 @@ class Region:
         if dim < 2:
             raise DomainError("regions live in dimension >= 2")
         self.dim = int(dim)
-        self.parts = parts
+        self._parts = parts
         self._mu_cache = {}
         self._boxes = None
+
+    @classmethod
+    def from_boxes(cls, lo, hi):
+        """The region of the boxes ``[lo[k], hi[k])``, for ``(m, n)`` arrays."""
+        lo, hi = _box_bounds(lo, hi, 2)
+        region = cls([], dim=lo.shape[1])
+        if len(lo):
+            region._parts, region._boxes = None, ((lo, hi), [])
+        return region
+
+    @property
+    def parts(self):
+        if self._parts is None:
+            self._parts = tuple(map(AxisBox, *self._boxes[0]))
+        return self._parts
+
+    def __len__(self):
+        return len(self._boxes[0][0]) if self._parts is None else len(self._parts)
 
     def _box_stack(self):
         # ((lo, hi) of the axis boxes as (m, dim) arrays, or None without
@@ -358,11 +387,9 @@ class Region:
         return out
 
     def bounding_box(self):
-        if not self.parts:
-            return np.zeros(self.dim), np.zeros(self.dim)
-        boxes = [part_bounding_box(p) for p in self.parts]
-        return (np.min([b[0] for b in boxes], axis=0),
-                np.max([b[1] for b in boxes], axis=0))
+        boxes, rest = self._box_stack()
+        bounds = [part_bounding_box(p) for p in rest]
+        return _box_hull(bounds + [boxes] if boxes else bounds, self.dim)
 
     def check_disjoint(self, rng=None, samples=4000):
         """Raise DisjointnessError when two parts demonstrably overlap."""
@@ -570,9 +597,7 @@ def estimate_symmetric_difference(r1, r2, samples=200_000, rng=None):
     Returns a dict with both estimates and their standard errors.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    lo1, hi1 = r1.bounding_box()
-    lo2, hi2 = r2.bounding_box()
-    lo, hi = np.minimum(lo1, lo2), np.maximum(hi1, hi2)
+    lo, hi = _box_hull([r1.bounding_box(), r2.bounding_box()], r1.dim)
     vol = float(np.prod(hi - lo))
     pts = lo + (hi - lo) * rng.random((samples, r1.dim))
     inside = r1.contains(pts) != r2.contains(pts)
@@ -617,7 +642,7 @@ def cube_cover(poly, depth):
     found by bisection for all columns at once, and column i keeps the
     rows that the runs of corner columns i and i+1 share.  Time and memory
     are linear in the number of grid columns (times the edge count and
-    depth for the time); the corner grid itself is never built.
+    depth for the time); neither the corner grid nor an ``AxisBox`` is built.
     """
     if not isinstance(poly, Polytope) or poly.dim != 2:
         raise DomainError("cube covers are built for 2D polytopes")
@@ -646,4 +671,4 @@ def cube_cover(poly, depth):
     i = np.flatnonzero(start < stop)
     lo = np.stack([xs[i], ys[start[i]]], 1)
     hi = np.stack([xs[i + 1], ys[stop[i]]], 1)
-    return Region([AxisBox(a, b) for a, b in zip(lo, hi)], dim=2)
+    return Region.from_boxes(lo, hi)

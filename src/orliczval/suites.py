@@ -296,7 +296,7 @@ def suite_continuity(depth=12, probe_k=8):
             psi_ok = False
         norms.append(distance)
         rows.append({"block": "cube-cover", "index": d,
-                     "cells": len(cover.parts),
+                     "cells": len(cover),
                      "lebesgue_gap": lam_diff, "weighted_gap": mu_diff,
                      "norm_distance": distance, "psi_gap": gap,
                      "psi_bound": bound})

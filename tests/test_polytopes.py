@@ -575,6 +575,22 @@ def test_planar_valuation_is_sl2_covariant():
         done += 1
 
 
+def test_planar_valuation_builds_its_cone_once(monkeypatch):
+    calls = []
+
+    def counted(poly):
+        calls.append(poly)
+        return cone_hull(poly)
+
+    monkeypatch.setattr(polytopes, "cone_hull", counted)
+    coeffs = PlanarCoefficients(c1=0.5, c1t=-1.25, c2=2.0, c2t=0.75, c3=-0.5, c3t=1.5)
+    shapes = ([[1.0, 0.0], [0.0, 0.25]], [[0.5, 0.0], [0.0, 1.0], [-1.0, 0.0]],
+              [[0.2, 0.1], [1.0, 0.3], [0.6, 1.1], [0.1, 0.8]])
+    for k, v in enumerate(shapes, 1):
+        planar_valuation(Polytope(v), coeffs)
+        assert len(calls) == k
+
+
 def test_spatial_valuation_simplex():
     simplex = Polytope(np.eye(3))
     got = spatial_valuation(simplex, c1=4.0, c2=24.0)

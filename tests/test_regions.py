@@ -8,8 +8,10 @@ from scipy.spatial import ConvexHull
 
 from orliczval.errors import AccuracyError, CapabilityError, DisjointnessError, DomainError
 from orliczval.functions import SimpleFunction
+from orliczval.norms import indicator_norm, luxemburg_norm, orlicz_norm
 from orliczval.polytopes import Polytope
 from orliczval.valuations import PolynomialComposer, psi
+from orliczval.young import PowerYoung
 from orliczval.regions import (
     Annulus,
     AxisBox,
@@ -414,9 +416,19 @@ def test_cube_cover_memory_is_linear_in_the_columns():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
-    cover = cube_cover(tri, 14)
-    assert len(cover.parts) == 16383
-    assert abs(lebesgue(cover) - (0.5 - 2.0 ** -15)) < 1e-12
+    # kept as one box stack, a depth-14 cover peaks near 12.6 MiB in this
+    # trace; one AxisBox per box, restacked for the measures, took 18.2 MiB
+    tracemalloc.start()
+    try:
+        cover = cube_cover(tri, 14)
+        area = lebesgue(cover)
+        weighted_measure(cover)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * 2 ** 20
+    assert len(cover) == 16383
+    assert abs(area - (0.5 - 2.0 ** -15)) < 1e-12
 
 
 def test_cube_cover_rejects_bad_input():
@@ -424,6 +436,93 @@ def test_cube_cover_rejects_bad_input():
         cube_cover(Polytope([[0, 0], [1, 0], [0, 1]]), -1)
     seg = Polytope([[0.0, 0.0], [1.0, 1.0]])
     assert cube_cover(seg, 3).parts == ()
+
+
+# -- box stacks ------------------------------------------------------------
+
+def test_from_boxes_rejects_what_axis_box_rejects():
+    inf, nan = math.inf, math.nan
+    good_lo, good_hi = [0.0, 0.0], [1.0, 1.0]
+    cases = [
+        # (AxisBox arguments, Region.from_boxes arguments)
+        ((good_lo, [1.0, 1.0, 1.0]), (np.zeros((3, 2)), np.ones((3, 3)))),
+        (([good_lo], [good_hi]), (good_lo, good_hi)),
+        (([0.0], [1.0]), (np.zeros((3, 1)), np.ones((3, 1)))),
+        (([0.0], [1.0]), (np.zeros((0, 1)), np.ones((0, 1)))),
+        (([0.0, -inf], good_hi), ([good_lo, [0.0, -inf]], [good_hi, good_hi])),
+        ((good_lo, [1.0, nan]), ([good_lo, good_lo], [good_hi, [1.0, nan]])),
+        ((good_lo, [inf, 1.0]), ([good_lo, good_lo], [good_hi, [inf, 1.0]])),
+        ((good_lo, [1.0, 0.0]), ([good_lo, good_lo], [good_hi, [1.0, 0.0]])),
+        (([0.0, 2.0], good_hi), ([[0.0, 2.0], good_lo], [good_hi, good_hi])),
+    ]
+    messages = set()
+    for box_args, stack_args in cases:
+        with pytest.raises(DomainError) as box_err:
+            AxisBox(*box_args)
+        with pytest.raises(DomainError) as stack_err:
+            Region.from_boxes(*stack_args)
+        assert str(stack_err.value) == str(box_err.value)
+        messages.add(str(box_err.value))
+    assert len(messages) == 3
+
+
+def test_from_boxes_matches_the_part_list_region():
+    rng = np.random.default_rng(15)
+    lo2 = rng.uniform(-3.0, 3.0, (50, 2))
+    lo3 = rng.uniform(-2.0, 2.0, (4, 3))
+    tri = Polytope([[0.1, 0.05], [1.3, 0.2], [0.4, 1.1]])
+    stacks = [(lo2, lo2 + rng.uniform(0.05, 0.5, (50, 2))),
+              (lo3, lo3 + rng.uniform(0.05, 0.5, (4, 3))),
+              _corner_grid_cover(tri, 8)]
+    for lo, hi in stacks:
+        stacked = Region.from_boxes(lo, hi)
+        listed = Region([AxisBox(a, b) for a, b in zip(lo, hi)])
+        assert stacked.lebesgue() == listed.lebesgue()
+        for abs_tol in (1e-9, 1e-11):
+            got, want = stacked.weighted_measure(abs_tol), listed.weighted_measure(abs_tol)
+            assert (got.value, got.error_bound) == (want.value, want.error_bound)
+        assert np.array_equal(stacked.moment(), listed.moment())
+        for got, want in zip(stacked.bounding_box(), listed.bounding_box()):
+            assert np.array_equal(got, want)
+        assert np.array_equal([b.lo for b in stacked.parts], lo)
+        assert np.array_equal([b.hi for b in stacked.parts], hi)
+
+
+def test_region_len_is_its_part_count():
+    tri = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    empty = cube_cover(tri, 0)
+    regions = _mixed_regions() + [empty, Region.from_boxes(np.zeros((0, 3)), np.ones((0, 3)))]
+    counts = [len(region) for region in regions]  # before any parts are built
+    assert counts == [len(region.parts) for region in regions]
+    assert counts[-3:] == [63, 0, 0]
+    assert empty.dim == 2 and empty.parts == ()
+    assert empty.lebesgue() == 0.0 and empty.weighted_measure().value == 0.0
+
+
+def test_the_covers_case_builds_no_axis_box(monkeypatch):
+    built = []
+    init = AxisBox.__init__
+
+    def counted(self, lo, hi):
+        built.append(1)
+        init(self, lo, hi)
+
+    monkeypatch.setattr(AxisBox, "__init__", counted)
+    phi, xi = PowerYoung(2.0), PolynomialComposer([1.0, 0.5])
+    tri = Polytope([[0.1, 0.05], [1.3, 0.2], [0.4, 1.1]])
+    for depth in (0, 3, 9):
+        cover = cube_cover(tri, depth)
+        h = SimpleFunction.indicator(cover)
+        lebesgue(cover)
+        weighted_measure(cover, 1e-10)
+        moment(cover)
+        psi(xi, h)
+        luxemburg_norm(phi, h)
+        orlicz_norm(phi, h)
+        indicator_norm(phi, cover)
+    assert len(cover) > 100
+    assert built == []
+    assert len(cover.parts) == len(built)
 
 
 # -- plumbing --------------------------------------------------------------
