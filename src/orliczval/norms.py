@@ -40,10 +40,10 @@ def _atoms(h, abs_tol):
 
 
 def _weighted_sum(f, t, mus):
-    """``sum f(t_i) * mu_i``; overflow gives ``inf``, and so does ``inf - inf``."""
+    """``sum f(t_i) * mu_i`` over the last axis; overflow and ``inf - inf`` give ``inf``."""
     with np.errstate(over="ignore", invalid="ignore"):
         y = np.asarray(f(t))
-        return float(np.sum(np.where(np.isnan(y), np.inf, y) * mus))
+        return np.sum(np.where(np.isnan(y), np.inf, y) * mus, axis=-1)
 
 
 def modular(phi, h, abs_tol=1e-9):
@@ -56,7 +56,7 @@ def modular(phi, h, abs_tol=1e-9):
     vals, mus = _atoms(h, abs_tol)
     if len(vals) == 0:
         return 0.0
-    return _weighted_sum(phi.eval, vals, mus)
+    return float(_weighted_sum(phi.eval, vals, mus))
 
 
 def luxemburg_norm(phi, h, rel_tol=1e-10, abs_tol=1e-9):
@@ -70,8 +70,8 @@ def luxemburg_norm(phi, h, rel_tol=1e-10, abs_tol=1e-9):
     vals, mus = _atoms(h, abs_tol)
     if len(vals) == 0:
         return 0.0
-    u = solve_monotone(lambda u: _weighted_sum(phi.eval, u * vals, mus), 1.0,
-                       lo=0.0, hi=1.0 / float(np.max(vals)), rel_tol=rel_tol)
+    u = solve_monotone(lambda u: _weighted_sum(phi.eval, np.multiply.outer(u, vals), mus),
+                       1.0, lo=0.0, hi=1.0 / float(np.max(vals)), rel_tol=rel_tol)
     return 1.0 / u
 
 
@@ -92,11 +92,11 @@ def orlicz_norm(phi, h, rel_tol=1e-12, abs_tol=1e-9):
 
     def conjugate_modular(k):
         return _weighted_sum(lambda t: t * phi.density(t) - phi.eval(t),
-                             k * vals, mus)
+                             np.multiply.outer(k, vals), mus)
 
     k = solve_monotone(conjugate_modular, 1.0, lo=0.0,
                        hi=1.0 / float(np.max(vals)), rel_tol=rel_tol)
-    return (1.0 + _weighted_sum(phi.eval, k * vals, mus)) / k
+    return (1.0 + float(_weighted_sum(phi.eval, k * vals, mus))) / k
 
 
 def indicator_norm(phi, region, abs_tol=1e-9, rel_tol=1e-12):
@@ -133,7 +133,7 @@ def norm_report(phi, h, abs_tol=1e-9):
         return {"luxemburg": 0.0, "orlicz": orl, "ratio": float("nan"),
                 "equivalence_ok": orl == 0.0, "modular_at_luxemburg": 0.0}
     vals, mus = _atoms(h, abs_tol)
-    mod_at = _weighted_sum(phi.eval, vals / lux, mus)
+    mod_at = float(_weighted_sum(phi.eval, vals / lux, mus))
     slack = 1e-9 * max(1.0, lux)
     ok = (lux <= orl + slack) and (orl <= 2.0 * lux + slack)
     return {"luxemburg": lux, "orlicz": orl, "ratio": orl / lux,

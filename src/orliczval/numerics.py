@@ -1,132 +1,74 @@
-"""Root finding.
+"""Root finding: :func:`solve_monotone`, for both norms and every inverse.
 
-Every one-dimensional solve in the package goes through
-:func:`solve_monotone`: a bracket found by geometric expansion (factor
-2), then narrowed by safeguarded false position to relative width
-``1e-12``.  Both norms and the inverse of a Young function are monotone
-root problems.
-
-The narrowing step is the Illinois rule (Dowell & Jarratt, BIT 11,
-1971): the secant through the two bracket ends, with the residual at an
-end that was kept twice in a row halved, so neither end sticks.  On
-smooth functions it converges superlinearly, in about a dozen
-evaluations where bisection takes forty.  Three safeguards bound the
-rest:
-
-* a step never comes closer to a bracket end than a quarter of the
-  target width, so a one-sided approach ends with one step across the
-  root;
-* whenever two interpolation steps have not halved the bracket, the
-  next step bisects, so the bracket halves at least every third step
-  and a solve takes at most about three times bisection's count;
-* an end with no slope to offer (an infinite residual, or a second
-  exact hit of the target, which marks a plateau) makes the step bisect.
+``f`` is called on one vector of points per step (k-section, Miranker,
+IBM J. Res. Dev. 13, 1969): ``hi * 2^(1...16)`` until the target is
+bracketed, then 8 uniform interior points of the bracket, which alone
+shrink it at least 9x, and 16 at the secant estimate (Brent, 1973,
+ch. 4) plus and minus ``w * 10^-j``, ``j = 1...8``, for the width ``w``.
+Each point is classified by ``f(x) < target`` itself, so the bracket
+holds whatever the estimate; on smooth ``f`` a norm takes about six calls.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import BracketError
 
-_REL_TOL = 1e-12
-_EXPANSION = 2.0
-_MAX_EXPANSIONS = 2000
+_EXPANSION = 2.0 ** np.arange(1, 17)
+# width fractions from lo: the grid, then the offsets from the secant fraction
+_STEP = np.concatenate((np.arange(1, 9) / 9.0, -(10.0 ** -np.arange(1, 9)),
+                        10.0 ** -np.arange(1, 9)))
+_IN_CLUSTER = (np.arange(24) >= 8) * 1.0
 
 
-def solve_monotone(f, target, lo=0.0, hi=None, rel_tol=_REL_TOL):
+def solve_monotone(f, target, lo=0.0, hi=None, rel_tol=1e-12):
     """Solve ``f(x) = target`` for nondecreasing ``f`` on ``[lo, inf)``.
 
-    The upper bracket end is expanded geometrically (factor 2) from
-    ``hi`` (default ``max(1, 2*lo)``) until the target is enclosed, so
-    that ``f(lo) < target <= f(hi)``.  The bracket is then narrowed by
-    the safeguarded Illinois step of the module docstring down to
-    relative width ``rel_tol``: superlinear on smooth ``f``, and at most
-    about three times bisection's count of steps on any ``f``.
-
-    Parameters
-    ----------
-    f : callable
-        Nondecreasing function of one float argument.  ``inf`` return
-        values are tolerated and treated as larger than any target.
-    target : float
-        Right-hand side.
-    lo : float
-        Lower end of the search interval; ``f(lo)`` must not exceed
-        ``target``.
-    hi : float, optional
-        Initial upper end for the expansion phase.
-    rel_tol : float
-        Relative width of the final bracket.
-
-    Returns
-    -------
-    float
-        Midpoint of the final bracket.
-
-    Raises
-    ------
-    BracketError
-        If the target cannot be enclosed after repeated expansion, with
-        the last bracket and function values in the message.
+    ``f`` maps a 1D float array to an array of its shape (``inf`` is above
+    any target).  The first call takes ``lo``, ``hi`` (default ``max(1, 2*lo)``)
+    and ``hi * 2^(1...16)``.  Returns the midpoint, a float, of the final
+    bracket ``f(lo) < target <= f(hi)`` of relative width ``rel_tol``.
+    Raises ``BracketError`` on a NaN, on ``f(lo) > target`` or with no bracket.
     """
     def g(x):
-        y = f(x)
-        if math.isnan(y):
-            raise BracketError(f"f({x!r}) is NaN while solving for {target!r}")
+        y = np.asarray(f(x), float)
+        if np.isnan(y).any():
+            raise BracketError(
+                f"f({float(x[np.isnan(y)][0])!r}) is NaN while solving for {target!r}")
         return y
 
-    flo = g(lo)
-    if flo > target:
-        raise BracketError(
-            f"lower end does not bracket: f({lo!r}) = {flo!r} "
-            f"already past target {target!r}"
-        )
-    if hi is None:
-        hi = max(1.0, 2.0 * lo)
-    fhi = g(hi)
-    n = 0
-    while fhi < target:
-        lo, flo = hi, fhi
-        hi *= _EXPANSION
-        fhi = g(hi)
-        n += 1
-        if n > _MAX_EXPANSIONS or not math.isfinite(hi):
-            raise BracketError(
-                f"no bracket after {n} expansions: f({hi!r}) = {fhi!r}, "
-                f"target {target!r}"
-            )
-    # residuals at the ends, ``moved`` the end the last step replaced
-    # (+1 lo, -1 hi), ``hits`` the exact hits of the target so far
-    rlo, rhi = flo - target, fhi - target
-    moved, hits = 0, int(rhi == 0.0)
-    # the bracket width two interpolation steps ago, and the steps since
-    ref, steps = hi - lo, 0
-    while True:
-        width = hi - lo
-        tol = rel_tol * max(abs(hi), 1e-300)
-        mid = 0.5 * (lo + hi)
-        if width <= tol or mid <= lo or mid >= hi:
-            break
-        stalled = steps == 2 and width > 0.5 * ref
-        if steps == 2:
-            ref, steps = width, 0
-        t = rlo / (rlo - rhi) if rlo < rhi else 0.0
-        if stalled or not 0.0 < t <= 1.0 or (rhi == 0.0 and hits > 1):
-            x = mid
-        else:
-            x = min(max(lo + t * width, lo + 0.25 * tol), hi - 0.25 * tol)
-            steps += 1
-        y = g(x) - target
-        if y < 0.0:
-            lo, rlo = x, y
-            if moved > 0:
-                rhi *= 0.5
-            moved = 1
-        else:
-            hi, rhi = x, y
-            hits += y == 0.0
-            if moved < 0:
-                rlo *= 0.5
-            moved = -1
-    return 0.5 * (lo + hi)
+    hi = max(1.0, 2.0 * lo) if hi is None else hi
+    with np.errstate(over="ignore"):
+        x = np.concatenate(((lo, hi), hi * _EXPANSION))
+        x = x[x < math.inf]
+        y = g(x)
+        if y[0] > target:
+            raise BracketError(f"lower end does not bracket: f({lo!r}) = {float(y[0])!r} "
+                               f"already past target {target!r}")
+        while y[-1] < target:
+            lo, flo = float(x[-1]), float(y[-1])
+            x = lo * _EXPANSION
+            x = x[x < math.inf]
+            if not (len(x) and lo > 0.0):
+                raise BracketError(f"no bracket above f({lo!r}) = {flo!r}, target {target!r}")
+            y = g(x)
+        while True:
+            k = np.count_nonzero(y < target)
+            if k:
+                lo, flo = float(x[k - 1]), float(y[k - 1])
+            if k < len(x):
+                hi, fhi = float(x[k]), float(y[k])
+            width, mid = hi - lo, 0.5 * (lo + hi)
+            if width <= rel_tol * max(abs(hi), 1e-300) or mid <= lo or mid >= hi:
+                return mid
+            # the secant fraction, 0 when an end is infinite
+            t = (target - flo) / (fhi - flo) if fhi - flo < math.inf else 0.0
+            x = lo + width * (_STEP + t * _IN_CLUSTER)
+            # into the open bracket (np.clip costs twice as much)
+            np.minimum(np.maximum(x, math.nextafter(lo, hi), out=x),
+                       math.nextafter(hi, lo), out=x)
+            x.sort()
+            y = g(x)

@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .errors import DomainError
 
@@ -226,6 +225,7 @@ def _hull_and_rank(points):
         center, basis = _frame(pts, rank)
         flat_verts, rank = _hull_and_rank((pts - center) @ basis.T)
         return center + flat_verts @ basis, rank
+    from scipy.spatial import ConvexHull  # only full-rank hulls in n >= 3 need qhull
     hull = ConvexHull(pts)
     verts = pts[hull.vertices]
     order = np.lexsort(verts.T[::-1])
@@ -265,6 +265,7 @@ class Polytope:
         triangulated facets.
         """
         if self._hull is None:
+            from scipy.spatial import ConvexHull
             self._hull = ConvexHull(self.vertices)
         return self._hull
 

@@ -45,6 +45,8 @@ from .polytopes import (
     split_polygon,
 )
 
+_CHUNK_PAIRS = 1 << 17  # (point, box) pairs tested per numpy batch in contains
+
 
 class OriginBall:
     """Closed ball of given radius centered at the origin."""
@@ -381,8 +383,15 @@ class Region:
 
     def contains(self, points):
         pts = np.atleast_2d(np.asarray(points, float))
+        boxes, rest = self._box_stack()
         out = np.zeros(len(pts), bool)
-        for p in self.parts:
+        if boxes:  # a (points, coordinates, boxes) table per chunk
+            lo, hi = (np.ascontiguousarray(b.T) for b in boxes)
+            step = max(1, _CHUNK_PAIRS // lo.shape[1])
+            for i in range(0, len(pts), step):
+                x = pts[i:i + step, :, None]
+                out[i:i + step] = np.all((x >= lo) & (x < hi), axis=1).any(axis=1)
+        for p in rest:
             out |= part_contains(p, pts)
         return out
 

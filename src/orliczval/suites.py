@@ -209,12 +209,8 @@ def suite_constraint_system():
                         "ok": ok}}
 
 
-def suite_divergence(terms=50, seed=0, dim=2):
-    """Bounded-modular ball family with divergent first moment.
-
-    The seed is unused (the construction is deterministic) but kept in
-    the signature so every suite shares a calling convention.
-    """
+def suite_divergence(terms=50, dim=2):
+    """Bounded-modular ball family with divergent first moment (deterministic)."""
     phi = PowerYoung(2.0)
     xi = PolynomialComposer([0.0, 0.0, 0.0, 1.0])
     growth = check_cphi(xi, phi)

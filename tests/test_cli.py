@@ -322,15 +322,17 @@ def test_cli_module_entry_point():
 
 
 def test_cli_cold_import_leaves_out_the_quadrature_package():
-    # no region kind needs QUADPACK and the root finder is the package's
-    # own, so a cold start pays for neither scipy.integrate nor scipy.optimize
+    # no region kind needs QUADPACK, the root finder is the package's own,
+    # and qhull is imported where a full-rank hull in n >= 3 is built, so
+    # a cold start loads no scipy module at all
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, orliczval.cli; "
-         "print('scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules)"],
+         "print('scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules, "
+         "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    assert proc.stdout.strip() == "False False []"
 
 
 def test_cli_seventeen_digit_floats(capsys):

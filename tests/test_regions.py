@@ -525,6 +525,36 @@ def test_the_covers_case_builds_no_axis_box(monkeypatch):
     assert len(cover.parts) == len(built)
 
 
+def test_region_contains_equals_the_per_part_loop(monkeypatch):
+    # the boxes are tested as one stack in chunks of (point, box) pairs,
+    # the other parts one by one, and no AxisBox is built for it
+    built = []
+    init = AxisBox.__init__
+
+    def counted(self, lo, hi):
+        built.append(1)
+        init(self, lo, hi)
+
+    rng = np.random.default_rng(41)
+    tri = Polytope([[0.1, 0.05], [1.3, 0.2], [0.4, 1.1]])
+    regions = [cube_cover(tri, 12)] + _mixed_regions()
+    monkeypatch.setattr(AxisBox, "__init__", counted)
+    cases = []
+    for region in regions:
+        lo, hi = region.bounding_box()
+        pts = rng.uniform(lo - 0.2 * (hi - lo) - 0.1, hi + 0.2 * (hi - lo) + 0.1,
+                          (2000, region.dim))
+        pts[::2] = np.round(pts[::2] * 4096.0) / 4096.0  # on the cover's box edges
+        cases.append((region, pts, region.contains(pts)))
+    assert built == []
+    assert len(regions[0]) > 4000 and cases[0][2].sum() > 300
+    for region, pts, got in cases:
+        want = np.zeros(len(pts), bool)
+        for part in region.parts:
+            want |= part_contains(part, pts)
+        assert np.array_equal(got, want), region
+
+
 # -- plumbing --------------------------------------------------------------
 
 def test_region_json_round_trip():
