@@ -33,8 +33,9 @@ def _tolerances(points, queries=()):
     * ``tol = max(1e-9 * L, f)`` bounds distances (offsets from unit
       normals, gaps between points);
     * ``flat = max(1e-12 * L, f)`` is the thickness below which a set is
-      flat, for hull turns, singular values and areas alike;
-    * ``eps = L * flat`` bounds cross products and areas.
+      flat, as compared with singular values;
+    * ``eps = L * flat`` bounds cross products, as in hull turns, edge
+      margins and areas.
 
     At unit scale these are 1e-9 and 1e-12, and all three scale exactly
     with a power-of-two scaling of the object.
@@ -77,28 +78,34 @@ def _edge_margin(starts, dirs, x, y):
 
 def convex_hull_2d(points):
     """Irredundant ccw hull, starting at the lexicographically smallest vertex."""
-    pts = np.unique(np.asarray(points, float), axis=0)
-    if len(pts) <= 2:
-        return pts
-    return _hull_2d(pts, *_tolerances(pts)[:2])
+    pts = np.asarray(points, float)
+    return pts[_hull_and_rank(pts)[0]]
 
 
 def _hull_2d(pts, tol, eps):
-    """Monotone-chain hull of three or more distinct points."""
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    """Andrew's monotone chain: indices of the ccw hull of ``pts`` from its
+    lexicographically smallest point.  Turns with a cross product at most
+    ``eps`` are dropped, so repeated and collinear points leave, and the
+    vertex count less one is the affine rank.
+    """
+    xy = pts.tolist()
 
     def build(seq):
         out = []
-        for p in seq:
-            while len(out) >= 2 and _cross(out[-1] - out[-2], p - out[-2]) <= eps:
+        for i in seq:
+            x, y = xy[i]
+            while len(out) >= 2:
+                (ax, ay), (bx, by) = xy[out[-2]], xy[out[-1]]
+                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > eps:
+                    break
                 out.pop()
-            out.append(p)
+            out.append(i)
         return out
 
-    lower = build(pts)
-    upper = build(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1])
-    if len(hull) == 2 and np.max(np.abs(hull[0] - hull[1])) <= tol:
+    order = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
+    lower, upper = build(order), build(order[::-1])
+    hull = lower[:-1] + upper[:-1] or lower  # one point: both chains lose their only one
+    if len(hull) == 2 and np.max(np.abs(pts[hull[0]] - pts[hull[1]])) <= tol:
         hull = hull[:1]
     return hull
 
@@ -181,55 +188,44 @@ def rectangle_weighted_measures(lo, hi):
 
 
 def affine_rank(points):
-    pts = np.asarray(points, float)
-    if len(pts) <= 1:
-        return 0
-    return _rank(pts, _tolerances(pts)[2])
+    return _hull_and_rank(np.asarray(points, float))[1]
 
 
-def _rank(pts, flat):
-    s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
-    return int(np.sum(s > flat))
-
-
-def _frame(pts, rank):
-    """Centre and orthonormal row basis of the affine hull of ``pts``."""
+def _frame(pts):
+    """Centre, singular values and orthonormal row basis of ``pts`` about their mean."""
     center = pts.mean(axis=0)
-    _, _, vt = np.linalg.svd(pts - center)
-    return center, vt[:rank]
+    _, s, vt = np.linalg.svd(pts - center, full_matrices=False)
+    return center, s, vt
 
 
-def _hull_and_rank(points):
-    """Irredundant hull vertices and affine rank of ``points``, any dimension.
+def _hull_and_rank(pts):
+    """Indices of the irredundant hull vertices of ``pts``, its affine rank and qhull.
 
-    One tolerance rule serves both.  The rank is that of the vertices as
-    well, since the hull keeps the points' extent; a 2D hull that
-    collapses to fewer than three vertices lowers it to match.
+    One tolerance rule serves all three, and the planar hull sets every
+    rank below 3: in 2D the monotone chain's vertex count is the rank,
+    and the indices run ccw.  In dimension >= 3 the singular values of
+    the centred points tell full rank; a flatter set is hulled on its
+    leading axes (at least two), and the indices follow the
+    lexicographic order of the points.  The qhull is that of ``pts`` for
+    full rank in dimension >= 3, and None otherwise.
     """
-    pts = np.unique(np.asarray(points, float), axis=0)
     n = pts.shape[1]
-    if len(pts) <= 1:
-        return pts, 0
     tol, eps, flat = _tolerances(pts)
-    rank = _rank(pts, flat)
-    if rank == 0:
-        return pts[:1], 0
-    if rank == 1:
-        direction = pts[-1] - pts[0]
-        proj = pts @ direction
-        return np.array([pts[int(np.argmin(proj))], pts[int(np.argmax(proj))]]), 1
+    if n == 1:
+        ends = [int(np.argmin(pts)), int(np.argmax(pts))]
+        return (ends, 1, None) if np.ptp(pts) > tol else (ends[:1], 0, None)
     if n == 2:
-        verts = _hull_2d(pts, tol, eps)
-        return verts, min(rank, len(verts) - 1)
+        idx = _hull_2d(pts, tol, eps)
+        return idx, min(len(idx) - 1, 2), None
+    center, s, vt = _frame(pts)
+    rank, hull = int(np.sum(s > flat)), None
     if rank < n:
-        center, basis = _frame(pts, rank)
-        flat_verts, rank = _hull_and_rank((pts - center) @ basis.T)
-        return center + flat_verts @ basis, rank
-    from scipy.spatial import ConvexHull  # only full-rank hulls in n >= 3 need qhull
-    hull = ConvexHull(pts)
-    verts = pts[hull.vertices]
-    order = np.lexsort(verts.T[::-1])
-    return verts[order], rank
+        idx, rank, _ = _hull_and_rank((pts - center) @ vt[:max(rank, 2)].T)
+    else:
+        from scipy.spatial import ConvexHull  # only full-rank hulls in n >= 3 need qhull
+        hull = ConvexHull(pts)
+        idx = hull.vertices
+    return np.asarray(idx)[np.lexsort(pts[idx].T[::-1])], rank, hull
 
 
 class Polytope:
@@ -238,36 +234,29 @@ class Polytope:
     2D vertex order is counterclockwise starting at the
     lexicographically smallest vertex; other dimensions use a fixed
     lexicographic order, so equal polytopes compare equal.
+
+    ``hull`` is the qhull built to find the vertices of a full-rank
+    polytope in dimension >= 3, and None otherwise.  Its ``points`` are
+    a copy of the input points, which its ``simplices`` (the
+    triangulated facets) index, and its ``equations`` are the facets'
+    outward unit normals ``a`` and offsets ``d``, with ``a.x + d <= 0``
+    inside.
     """
 
     def __init__(self, points):
-        pts = np.atleast_2d(np.asarray(points, float))
+        pts = np.array(points, float, ndmin=2)  # a copy, which ``hull`` keeps
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise DomainError("a polytope needs at least one point")
         if not np.all(np.isfinite(pts)):
             raise DomainError("polytope vertices must be finite")
-        self.vertices, self._rank = _hull_and_rank(pts)
+        idx, self._rank, self.hull = _hull_and_rank(pts)
+        self.vertices = pts[idx]
         self.dim = pts.shape[1]
-        # built on first use: the hull costs a qhull run, the flat an SVD
-        self._hull = None
-        self._flat = None
+        self._flat = None  # the frame of a lower-rank polytope, built on first use
 
     @property
     def rank(self):
         return self._rank
-
-    @property
-    def hull(self):
-        """The qhull of the vertices (full rank, dimension >= 3 only).
-
-        Its ``equations`` are the facets' outward unit normals and
-        offsets, ``a.x + d <= 0`` inside, and its ``simplices`` the
-        triangulated facets.
-        """
-        if self._hull is None:
-            from scipy.spatial import ConvexHull
-            self._hull = ConvexHull(self.vertices)
-        return self._hull
 
     def transform(self, theta):
         mat = theta.matrix if isinstance(theta, UnimodularMap) else np.asarray(theta, float)
@@ -276,7 +265,7 @@ class Polytope:
     def volume(self):
         if self.dim == 2:
             return polygon_area(self.vertices)
-        return _full_dim_volume_moment(self)[0]
+        return 0.0 if self.hull is None else _full_dim_volume_moment(self)[0]
 
     def moment(self):
         """Integral of x over the polytope; zero on lower-dimensional ones."""
@@ -311,7 +300,8 @@ class Polytope:
         v = self.vertices
         if self.rank < self.dim:
             if self._flat is None:
-                center, basis = _frame(v, self.rank)
+                center, _, vt = _frame(v)
+                basis = vt[:self.rank]
                 inner = Polytope((v - center) @ basis.T) if self.rank else None
                 self._flat = center, basis, inner
             center, basis, inner = self._flat
@@ -364,22 +354,12 @@ class Polytope:
 
 
 def _full_dim_volume_moment(poly):
-    v = poly.vertices
-    n = poly.dim
-    if poly.rank < n:
-        return 0.0, np.zeros(n)
-    hull = poly.hull
-    apex = v[hull.vertices].mean(axis=0)
-    vol = 0.0
-    mom = np.zeros(n)
-    fact = math.factorial(n)
-    for simplex in hull.simplices:
-        pts = v[simplex]
-        det = abs(np.linalg.det(pts - apex))
-        w = det / fact
-        vol += w
-        mom += w * (apex + pts.sum(axis=0)) / (n + 1.0)
-    return vol, mom
+    """Volume and moment over the simplices joining the vertex centroid to
+    the hull's triangulated facets."""
+    apex = poly.vertices.mean(axis=0)
+    simplices = poly.hull.points[poly.hull.simplices]
+    w = np.abs(np.linalg.det(simplices - apex)) / math.factorial(poly.dim)
+    return float(w.sum()), w @ (apex + simplices.sum(axis=1)) / (poly.dim + 1.0)
 
 
 def moment(poly):

@@ -133,6 +133,90 @@ def test_hull_degenerate_inputs():
     assert seg.volume() == 0.0
 
 
+def test_duplicated_unsorted_degenerate_clouds():
+    # repeats and any input order: vertices are input points in canonical
+    # order, and every permutation gives an equal polytope
+    rng = np.random.default_rng(5)
+    cases = [
+        ([[0.25, 0.5]] * 3, 0, [[0.25, 0.5]]),
+        ([[1.0, 1.0], [0.5, 0.5], [0.0, 0.0], [1.0, 1.0], [0.25, 0.25]], 1,
+         [[0.0, 0.0], [1.0, 1.0]]),
+        ([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0]], 2,
+         [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        ([[1.0, 2.0, 3.0]] * 4, 0, [[1.0, 2.0, 3.0]]),
+        ([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.5, 0.5, 0.5], [0.0, 0.0, 0.0]], 1,
+         [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]),
+        ([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0],
+          [2.0, 0.0, 1.0], [0.5, 0.5, 1.0]], 2,
+         [[0.0, 0.0, 1.0], [0.0, 2.0, 1.0], [2.0, 0.0, 1.0]]),
+    ]
+    for pts, rank, want in cases:
+        pts = np.array(pts)
+        first = Polytope(pts)
+        assert first.rank == affine_rank(pts) == rank, pts
+        assert first.vertices.tolist() == want, pts
+        for _ in range(6):
+            again = Polytope(pts[rng.permutation(len(pts))])
+            assert again == first and again.vertices.tolist() == want, pts
+    assert convex_hull_2d([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]).tolist() == \
+        [[0.0, 0.0], [1.0, 1.0]]
+
+
+def test_one_rank_rule_for_slivers_at_every_dyadic_scale():
+    # Polytope, affine_rank and convex_hull_2d read one rule, so a sliver
+    # near the flatness threshold (1e-12 of its extent) gets one answer,
+    # whatever its scale and whether it is lifted into 3D
+    for t in (0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0):
+        tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, t * 1e-12]])
+        for base in (tri, np.vstack([tri, [0.25, 0.0], tri[::-1]])):
+            answers = set()
+            for k in range(-40, 41):
+                pts = 2.0 ** k * base
+                poly = Polytope(pts)
+                hull = convex_hull_2d(pts)
+                lifted = Polytope(np.column_stack([pts, np.full(len(pts), 2.0 ** k)]))
+                assert poly.rank == affine_rank(pts) == len(hull) - 1 == lifted.rank, (t, k)
+                assert np.array_equal(poly.vertices, hull), (t, k)
+                assert np.array_equal(hull, 2.0 ** k * convex_hull_2d(base)), (t, k)
+                answers.add(poly.rank)
+            assert len(answers) == 1, (t, base)
+        # the triangle's cross product is t * 1e-12 against eps = 1e-12
+        assert Polytope(tri).rank == (1 if t <= 1.0 else 2), t
+
+
+def test_a_full_rank_3d_polytope_runs_qhull_once(monkeypatch):
+    from scipy import spatial
+
+    runs = []
+    qhull = spatial.ConvexHull
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return qhull(*args, **kwargs)
+
+    monkeypatch.setattr(spatial, "ConvexHull", counted)
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-1.0, 1.0, (12, 3))
+    poly = Polytope(np.vstack([pts, pts[:3]]))
+    poly.volume()
+    poly.moment()
+    poly.contains_points(rng.uniform(-1.0, 1.0, (50, 3)))
+    poly.origin_class()
+    part_weighted_measure(poly, 1e-9)
+    assert len(runs) == 1
+    # the kept hull is the input points' own
+    assert poly.hull.points.shape == (15, 3)
+    assert sorted(map(tuple, poly.hull.points[poly.hull.vertices])) == \
+        sorted(map(tuple, poly.vertices))
+    # and a copy of them: changing the caller's array afterwards changes nothing
+    cloud = pts.copy()
+    poly = Polytope(cloud)
+    volume, mom, mu = poly.volume(), poly.moment(), part_weighted_measure(poly, 1e-9)
+    cloud *= 2.0
+    assert poly.volume() == volume and np.array_equal(poly.moment(), mom)
+    assert part_weighted_measure(poly, 1e-9) == mu
+
+
 def test_small_polytopes_keep_their_rank_near_and_far_from_the_origin():
     tet = np.array([[-0.3, -0.2, -0.1], [0.7, -0.1, 0.0], [0.1, 0.8, -0.2], [0.0, 0.1, 0.9]])
     for offset, s in ((0.0, 2.0 ** -40), (0.0, 1e-6), (1e4, 1e-6), (1.0, 1e-9)):

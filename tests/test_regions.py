@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -523,6 +525,35 @@ def test_the_covers_case_builds_no_axis_box(monkeypatch):
     assert len(cover) > 100
     assert built == []
     assert len(cover.parts) == len(built)
+
+
+def test_planar_paths_and_3d_boxes_load_no_scipy():
+    # qhull is imported only for full-rank hulls in n >= 3, so the covers
+    # case and 3D boxes run without any scipy module (a fresh process)
+    script = """
+import sys
+from orliczval.functions import SimpleFunction
+from orliczval.norms import luxemburg_norm, orlicz_norm
+from orliczval.polytopes import Polytope
+from orliczval.regions import AxisBox, Region, cube_cover
+from orliczval.valuations import PolynomialComposer, psi
+from orliczval.young import PowerYoung
+
+tri = Polytope([[0.1, 0.05], [1.3, 0.2], [0.4, 1.1], [0.1, 0.05], [0.7, 0.4]])
+cover = cube_cover(tri, 8)
+h = SimpleFunction.indicator(cover, 2.0)
+cover.weighted_measure()
+luxemburg_norm(PowerYoung(2.0), h)
+orlicz_norm(PowerYoung(2.0), h)
+psi(PolynomialComposer([1.0, 0.5]), h)
+Region([AxisBox([1.0, 0.5, 0.25], [2.0, 1.0, 1.0])]).weighted_measure()
+print(len(cover), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    count, loaded = proc.stdout.split(" ", 1)
+    assert int(count) > 100
+    assert loaded.strip() == "[]"
 
 
 def test_region_contains_equals_the_per_part_loop(monkeypatch):
