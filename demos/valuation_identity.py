@@ -51,6 +51,6 @@ print(f"25 random shear products: worst residual = {worst:.3e}")
 
 print()
 print("=== moments move with the map, values do not ===")
-theta = shear(2, 0, 1, 2.0)  # plain matrix; maps may also carry a trace
+theta = shear(2, 0, 1, 2.0)  # every map is a plain (n, n) matrix
 moved = psi(xi, tri)
-print(f"theta @ psi(h) = {np.asarray(theta) @ moved}")
+print(f"theta @ psi(h) = {theta @ moved}")

@@ -46,7 +46,6 @@ from .regions import (
 from .polytopes import (
     PlanarCoefficients,
     Polytope,
-    UnimodularMap,
     cone_hull,
     continuity_constraint_system,
     convex_hull_2d,

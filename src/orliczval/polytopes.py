@@ -49,10 +49,6 @@ def _tolerances(points, queries=()):
     return max(1e-9 * extent, floor), extent * flat, flat
 
 
-def _cross(a, b):
-    return a[0] * b[1] - a[1] * b[0]
-
-
 def _edge_ends(v):
     """Starts and ends of the edges of the ccw polygon ``v``."""
     return v, np.concatenate((v[1:], v[:1]))
@@ -199,15 +195,17 @@ def _frame(pts):
 
 
 def _hull_and_rank(pts):
-    """Indices of the irredundant hull vertices of ``pts``, its affine rank and qhull.
+    """Indices of the irredundant hull vertices of ``pts``, its affine rank and facets.
 
     One tolerance rule serves all three, and the planar hull sets every
     rank below 3: in 2D the monotone chain's vertex count is the rank,
     and the indices run ccw.  In dimension >= 3 the singular values of
     the centred points tell full rank; a flatter set is hulled on its
     leading axes (at least two), and the indices follow the
-    lexicographic order of the points.  The qhull is that of ``pts`` for
-    full rank in dimension >= 3, and None otherwise.
+    lexicographic order of the points.  For full rank in dimension >= 3
+    one qhull gives the facets: its triangles, re-indexed into the
+    returned vertex order, and its ``equations``.  Otherwise they are
+    None.
     """
     n = pts.shape[1]
     tol, eps, flat = _tolerances(pts)
@@ -218,14 +216,16 @@ def _hull_and_rank(pts):
         idx = _hull_2d(pts, tol, eps)
         return idx, min(len(idx) - 1, 2), None
     center, s, vt = _frame(pts)
-    rank, hull = int(np.sum(s > flat)), None
+    rank = int(np.sum(s > flat))
     if rank < n:
         idx, rank, _ = _hull_and_rank((pts - center) @ vt[:max(rank, 2)].T)
-    else:
-        from scipy.spatial import ConvexHull  # only full-rank hulls in n >= 3 need qhull
-        hull = ConvexHull(pts)
-        idx = hull.vertices
-    return np.asarray(idx)[np.lexsort(pts[idx].T[::-1])], rank, hull
+        return np.asarray(idx)[np.lexsort(pts[idx].T[::-1])], rank, None
+    from scipy.spatial import ConvexHull  # only full-rank hulls in n >= 3 need qhull
+    hull = ConvexHull(pts)
+    idx = hull.vertices[np.lexsort(pts[hull.vertices].T[::-1])]
+    where = np.empty(len(pts), int)
+    where[idx] = np.arange(len(idx))
+    return idx, rank, (where[hull.simplices], hull.equations)
 
 
 class Polytope:
@@ -235,21 +235,21 @@ class Polytope:
     lexicographically smallest vertex; other dimensions use a fixed
     lexicographic order, so equal polytopes compare equal.
 
-    ``hull`` is the qhull built to find the vertices of a full-rank
-    polytope in dimension >= 3, and None otherwise.  Its ``points`` are
-    a copy of the input points, which its ``simplices`` (the
-    triangulated facets) index, and its ``equations`` are the facets'
-    outward unit normals ``a`` and offsets ``d``, with ``a.x + d <= 0``
-    inside.
+    A full-rank polytope in dimension >= 3 keeps the facets of the one
+    qhull that found its vertices: ``facets`` are triangles, as rows of
+    indices into ``vertices``, and ``equations`` their outward unit
+    normals ``a`` and offsets ``d``, with ``a.x + d <= 0`` inside.  Both
+    are None otherwise.  No input point other than a vertex is kept.
     """
 
     def __init__(self, points):
-        pts = np.array(points, float, ndmin=2)  # a copy, which ``hull`` keeps
+        pts = np.atleast_2d(np.asarray(points, float))
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise DomainError("a polytope needs at least one point")
         if not np.all(np.isfinite(pts)):
             raise DomainError("polytope vertices must be finite")
-        idx, self._rank, self.hull = _hull_and_rank(pts)
+        idx, self._rank, facets = _hull_and_rank(pts)
+        self.facets, self.equations = facets or (None, None)
         self.vertices = pts[idx]
         self.dim = pts.shape[1]
         self._flat = None  # the frame of a lower-rank polytope, built on first use
@@ -259,13 +259,12 @@ class Polytope:
         return self._rank
 
     def transform(self, theta):
-        mat = theta.matrix if isinstance(theta, UnimodularMap) else np.asarray(theta, float)
-        return Polytope(self.vertices @ mat.T)
+        return Polytope(self.vertices @ np.asarray(theta, float).T)
 
     def volume(self):
         if self.dim == 2:
             return polygon_area(self.vertices)
-        return 0.0 if self.hull is None else _full_dim_volume_moment(self)[0]
+        return 0.0 if self.facets is None else _full_dim_volume_moment(self)[0]
 
     def moment(self):
         """Integral of x over the polytope; zero on lower-dimensional ones."""
@@ -314,25 +313,24 @@ class Polytope:
             return (v.min() - tol <= pts[:, 0]) & (pts[:, 0] <= v.max() + tol)
         if self.dim == 2:
             return _edge_margin(*_edges(v), pts[:, 0], pts[:, 1]) >= -eps
-        eq = self.hull.equations
+        eq = self.equations
         return np.all(pts @ eq[:, :-1].T + eq[:, -1] <= tol, axis=1)
 
     def origin_class(self):
         """One of ``"vertex"``, ``"boundary"``, ``"interior"``, ``"outside"``."""
+        if self.dim == 2:
+            return _locate_origin(self.vertices)[0]
         v = self.vertices
-        tol, eps, _ = _tolerances(v)
+        tol = _tolerances(v)[0]
         if np.any(np.max(np.abs(v), axis=1) <= tol):
             return "vertex"
         if self.rank < self.dim:
             return "boundary" if self.contains(np.zeros(self.dim)) else "outside"
-        if self.dim == 2:
-            margin, cut = float(_edge_margin(*_edges(v), 0.0, 0.0)), eps
-        else:
-            # the origin's least distance inside a facet: minus the largest offset
-            margin, cut = -float(np.max(self.hull.equations[:, -1])), tol
-        if margin < -cut:
+        # the origin's least distance inside a facet: minus the largest offset
+        margin = -float(np.max(self.equations[:, -1]))
+        if margin < -tol:
             return "outside"
-        if margin <= cut:
+        if margin <= tol:
             return "boundary"
         return "interior"
 
@@ -357,7 +355,7 @@ def _full_dim_volume_moment(poly):
     """Volume and moment over the simplices joining the vertex centroid to
     the hull's triangulated facets."""
     apex = poly.vertices.mean(axis=0)
-    simplices = poly.hull.points[poly.hull.simplices]
+    simplices = poly.vertices[poly.facets]
     w = np.abs(np.linalg.det(simplices - apex)) / math.factorial(poly.dim)
     return float(w.sum()), w @ (apex + simplices.sum(axis=1)) / (poly.dim + 1.0)
 
@@ -373,59 +371,64 @@ def cone_hull(poly):
     return Polytope(pts)
 
 
-def _origin_on_segment(a, b, tol, eps):
-    if abs(_cross(a, b)) > eps:
-        return False
-    lo = np.minimum(a, b) - tol
-    hi = np.maximum(a, b) + tol
-    return bool(np.all(lo <= 0.0) and np.all(0.0 <= hi))
+def _locate_origin(v):
+    """Where the origin lies on the ccw polygon ``v`` (one point or more).
+
+    Returns ``(kind, i, facing)``.  With the edge margins ``m_i = v_i x
+    e_i`` (``e_i = v_{i+1} - v_i``), ``kind`` is ``"vertex"`` for a vertex
+    ``i`` within ``tol``, ``"boundary"`` for an edge ``i`` with ``|m_i| <=
+    eps`` while the origin is inside (on a segment, between its ends),
+    ``"interior"`` or ``"outside"``.  For ``"outside"``, ``facing`` marks
+    the edges that face the origin, ``m_i < -eps`` (both sides of a
+    segment whose line misses it); ``i`` and ``facing`` are None
+    otherwise.
+    """
+    tol, eps, _ = _tolerances(v)
+    norms = np.max(np.abs(v), axis=1)
+    i = int(np.argmin(norms))
+    if norms[i] <= tol:
+        return "vertex", i, None
+    a, e = _edges(v)
+    m = a[:, 0] * e[:, 1] - a[:, 1] * e[:, 0]
+    if len(v) < 3:
+        if len(v) == 2 and abs(m[0]) <= eps and np.all(v.min(axis=0) <= tol) \
+                and np.all(v.max(axis=0) >= -tol):
+            return "boundary", 0, None
+        return "outside", None, np.abs(m) > eps
+    if m.min() < -eps:
+        return "outside", None, m < -eps
+    i = int(np.argmin(m))
+    return ("boundary", i, None) if m[i] <= eps else ("interior", None, None)
 
 
 def visible_vertices(poly):
     """Vertices visible from the origin, counterclockwise by angle.
 
     A vertex u is visible when the segment [0, u] meets the polytope in
-    u alone.  An edge whose closed segment carries the origin marks
-    both of its endpoints visible (the tie rule).  The origin itself is
-    never listed.  Requires the origin off the interior.
+    u alone: from outside, when an edge at u faces the origin.  An edge
+    carrying the origin marks both of its endpoints visible, and the
+    origin as a vertex marks both of its neighbours (the tie rule); the
+    origin itself is never listed.  Requires the origin off the interior.
     """
     if poly.dim != 2:
         raise DomainError("visibility is defined for planar polytopes")
-    if poly.origin_class() == "interior":
-        raise DomainError("origin lies in the interior; no visible chain")
     v = poly.vertices
-    tol, eps, _ = _tolerances(v)
-    keep = []
-    if len(v) == 1:
-        if float(np.max(np.abs(v[0]))) > tol:
-            keep.append(v[0])
-    elif len(v) == 2:
-        a, b = v
-        if _origin_on_segment(a, b, tol, eps):
-            keep = [p for p in (a, b) if float(np.max(np.abs(p))) > tol]
-        elif abs(_cross(a, b)) <= eps:
-            keep = [a if np.dot(a, a) <= np.dot(b, b) else b]
-        else:
-            keep = [a, b]
+    kind, i, facing = _locate_origin(v)
+    if kind == "interior":
+        raise DomainError("origin lies in the interior; no visible chain")
+    m = len(v)
+    if kind == "outside":
+        keep = facing | np.roll(facing, 1)
+        if not keep.any():  # a point, or a segment on a line through the origin
+            keep[np.argmin((v * v).sum(axis=1))] = True
     else:
-        m = len(v)
-        on_edge = [_origin_on_segment(v[i], v[(i + 1) % m], tol, eps)
-                   for i in range(m)]
-        for i in range(m):
-            if float(np.max(np.abs(v[i]))) <= tol:
-                continue
-            if on_edge[i] or on_edge[i - 1]:
-                keep.append(v[i])
-                continue
-            p = v[(i + 1) % m] - v[i]
-            q = v[i - 1] - v[i]
-            d = -v[i]
-            inside_cone = _cross(p, d) >= -eps and _cross(d, q) >= -eps
-            if not inside_cone:
-                keep.append(v[i])
-    if not keep:
+        keep = np.zeros(m, bool)
+        keep[[i, (i + 1) % m] if kind == "boundary" else [i - 1, (i + 1) % m]] = True
+        if kind == "vertex":
+            keep[i] = False
+    pts = v[keep]
+    if len(pts) == 0:
         return np.zeros((0, 2))
-    pts = np.array(keep)
     ang = np.arctan2(pts[:, 1], pts[:, 0])
     order = np.argsort(ang, kind="stable")
     pts, ang = pts[order], ang[order]
@@ -444,13 +447,16 @@ def edge_sum(poly):
     the origin it is 2(u + v); in every other case (origin interior, on
     an edge but not a vertex, or a single point) it is zero.
     """
-    _require_origin(poly)
+    if poly.dim != 2:
+        raise DomainError("edge operators are planar")
     v = poly.vertices
+    kind, i, _ = _locate_origin(v)
+    if kind == "outside":
+        raise DomainError("origin must belong to the polytope")
     if poly.rank == 1:
         return 2.0 * (v[0] + v[1])
-    if poly.rank == 2 and poly.origin_class() == "vertex":
-        i0 = int(np.argmin(np.max(np.abs(v), axis=1)))
-        return v[(i0 + 1) % len(v)] + v[i0 - 1]
+    if poly.rank == 2 and kind == "vertex":
+        return v[(i + 1) % len(v)] + v[i - 1]
     return np.zeros(2)
 
 
@@ -462,27 +468,15 @@ def visible_span(poly):
     origin's position, and the first minus the last is returned.
     Segments, points and origin-interior polytopes give zero.
     """
-    _require_origin(poly)
-    v = poly.vertices
-    if poly.rank < 2 or poly.origin_class() == "interior":
-        return np.zeros(2)
-    m = len(v)
-    tol, eps, _ = _tolerances(v)
-    norms = np.max(np.abs(v), axis=1)
-    if np.any(norms <= tol):
-        i0 = int(np.argmin(norms))
-        return v[(i0 + 1) % m] - v[i0 - 1]
-    for i in range(m):
-        if _origin_on_segment(v[i], v[(i + 1) % m], tol, eps):
-            return v[(i + 1) % m] - v[i]
-    raise DomainError("origin is not on the boundary")
-
-
-def _require_origin(poly):
     if poly.dim != 2:
         raise DomainError("edge operators are planar")
-    if not poly.contains(np.zeros(2)):
+    v = poly.vertices
+    kind, i, _ = _locate_origin(v)
+    if kind == "outside":
         raise DomainError("origin must belong to the polytope")
+    if poly.rank < 2 or kind == "interior":
+        return np.zeros(2)
+    return v[(i + 1) % len(v)] - v[i - 1 if kind == "vertex" else i]
 
 
 @dataclass(frozen=True)
@@ -531,7 +525,10 @@ def _edge_basis(poly, cone=None):
     return np.column_stack(cols)
 
 
-def continuity_constraint_system(eps_values=None):
+_EPS_SCHEDULE = [2.0 ** -k for k in range(20, 0, -1)]  # 2^-20 up to 1/2
+
+
+def continuity_constraint_system():
     """Linear constraints forced on the edge coefficients by continuity.
 
     Four one-parameter polytope families degenerate as eps -> 0:
@@ -542,20 +539,17 @@ def continuity_constraint_system(eps_values=None):
         [eps*e1, e2, -e1]   -> [0, e2, -e1]
 
     Along each family the edge-term basis is affine in eps, so its
-    limit is read off exactly by linear extrapolation; equating the
-    limit with the basis of the limit polytope yields homogeneous
-    constraints on (c2, c2t, c3, c3t).  The stacked system has full
-    rank: only the zero coefficient vector survives, so the edge terms
-    cannot appear in any family continuous through these degenerations.
+    limit is read off exactly by linear extrapolation from the two
+    smallest eps of ``_EPS_SCHEDULE``; equating the limit with the
+    basis of the limit polytope yields homogeneous constraints on
+    (c2, c2t, c3, c3t).  The stacked system has full rank: only the zero
+    coefficient vector survives, so the edge terms cannot appear in any
+    family continuous through these degenerations.
 
     Returns a dict with the row matrix, readable equations, the rank,
     the affineness residual over the eps schedule, and the flag
     ``unique_zero_solution``.
     """
-    if eps_values is None:
-        eps_values = [2.0 ** -k for k in range(1, 21)]
-    eps_values = sorted(float(e) for e in eps_values)
-
     families = [
         ("[e1, eps*e2]", lambda e: [[1.0, 0.0], [0.0, e]], [[0.0, 0.0], [1.0, 0.0]]),
         ("[eps*e1, e2]", lambda e: [[e, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]]),
@@ -568,11 +562,11 @@ def continuity_constraint_system(eps_values=None):
     labels = []
     affine_residual = 0.0
     for name, make, limit_pts in families:
-        bases = np.array([_edge_basis(Polytope(make(e))) for e in eps_values])
-        e0, e1 = eps_values[0], eps_values[1]
+        bases = np.array([_edge_basis(Polytope(make(e))) for e in _EPS_SCHEDULE])
+        e0, e1 = _EPS_SCHEDULE[0], _EPS_SCHEDULE[1]
         slope = (bases[1] - bases[0]) / (e1 - e0)
         intercept = bases[0] - slope * e0
-        for k, e in enumerate(eps_values):
+        for k, e in enumerate(_EPS_SCHEDULE):
             predicted = intercept + slope * e
             affine_residual = max(affine_residual,
                                   float(np.max(np.abs(predicted - bases[k]))))
@@ -609,62 +603,21 @@ def continuity_constraint_system(eps_values=None):
 
 
 def shear(n, i, j, lam):
-    """Elementary shear: identity with lam at row i, column j."""
-    if i == j:
-        raise DomainError("shear indices must differ")
+    """Elementary shear: the ``(n, n)`` identity with lam at row i, column j."""
+    if i == j or not (0 <= i < n and 0 <= j < n):
+        raise DomainError("shear indices must differ and lie in 0..n-1")
     out = np.eye(n)
     out[i, j] = float(lam)
     return out
 
 
-@dataclass(frozen=True)
-class UnimodularMap:
-    """A determinant-one matrix together with how it was built.
+def random_unimodular(n, rng, num_shears=4, magnitude=8):
+    """Product of elementary shears by multiples of 1/4 up to ``magnitude / 4``.
 
-    The trace lists the elementary factors, so exact rational
-    reconstruction stays possible even after float products.
-    """
-
-    matrix: np.ndarray
-    trace: tuple
-
-    @property
-    def n(self):
-        return self.matrix.shape[0]
-
-    def det_exact(self):
-        """Determinant by fraction-exact elimination on the float entries."""
-        from fractions import Fraction
-
-        rows = [[Fraction(x) for x in row] for row in self.matrix.tolist()]
-        n = len(rows)
-        det = Fraction(1)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                det = -det
-            det *= rows[col][col]
-            for r in range(col + 1, n):
-                f = rows[r][col] / rows[col][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-        return det
-
-    def __matmul__(self, vec):
-        return self.matrix @ vec
-
-
-def random_unimodular(n, rng, num_shears=4, denominator=4, magnitude=8):
-    """Product of elementary shears with bounded dyadic-rational entries.
-
-    Every factor has determinant exactly one, and with the default
-    dyadic denominator the float product is exact, so the result is
-    exactly unimodular.
+    Every factor has determinant exactly one and dyadic entries, so the
+    float product is exact and the ``(n, n)`` result exactly unimodular.
     """
     out = np.eye(n)
-    trace = []
     for _ in range(num_shears):
         i = int(rng.integers(n))
         j = int(rng.integers(n - 1))
@@ -673,18 +626,15 @@ def random_unimodular(n, rng, num_shears=4, denominator=4, magnitude=8):
         k = 0
         while k == 0:
             k = int(rng.integers(-magnitude, magnitude + 1))
-        lam = k / denominator
-        trace.append(("shear", i, j, lam))
-        out = out @ shear(n, i, j, lam)
-    return UnimodularMap(out, tuple(trace))
+        out = out @ shear(n, i, j, k / 4)
+    return out
 
 
 def diagonal_unimodular(n, k):
-    """diag(k, ..., k, k**(1-n)); determinant one for any nonzero k."""
+    """The ``(n, n)`` matrix diag(k, ..., k, k**(1-n)); determinant one for any nonzero k."""
     if k == 0:
         raise DomainError("k must be nonzero")
-    d = [float(k)] * (n - 1) + [float(k) ** (1 - n)]
-    return UnimodularMap(np.diag(d), (("diagonal", float(k)),))
+    return np.diag([float(k)] * (n - 1) + [float(k) ** (1 - n)])
 
 
 # -- planar clipping -------------------------------------------------------

@@ -192,9 +192,7 @@ def part_weighted_measure(part, abs_tol=1e-9):
         if part.rank < part.dim:
             return 0.0, 0.0
         if part.dim == 3:
-            hull = part.hull
-            return hull_weighted_measure(hull.points, hull.simplices, hull.equations,
-                                         abs_tol)
+            return hull_weighted_measure(part.vertices, part.facets, part.equations, abs_tol)
         raise CapabilityError(
             "no exact weighted measure for full-rank polytopes above dimension 3; "
             "use estimate_weighted_measure (Monte Carlo) instead")

@@ -24,7 +24,7 @@ from .errors import (
 from .functions import GridFunction, SimpleFunction, lattice_max_min
 from .norms import modular, orlicz_norm
 from .numerics import solve_monotone
-from .polytopes import Polytope, UnimodularMap
+from .polytopes import Polytope
 from .regions import (
     Region,
     ShiftedBall,
@@ -274,7 +274,7 @@ def check_covariance(xi, h, theta):
     The precomposed function has each region replaced by its image, so
     both sides are exact polytope computations.
     """
-    mat = theta.matrix if isinstance(theta, UnimodularMap) else np.asarray(theta, float)
+    mat = np.asarray(theta, float)
     moved = _transform_function(h, mat)
     return psi(xi, moved) - mat @ psi(xi, h)
 

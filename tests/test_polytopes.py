@@ -204,10 +204,12 @@ def test_a_full_rank_3d_polytope_runs_qhull_once(monkeypatch):
     poly.origin_class()
     part_weighted_measure(poly, 1e-9)
     assert len(runs) == 1
-    # the kept hull is the input points' own
-    assert poly.hull.points.shape == (15, 3)
-    assert sorted(map(tuple, poly.hull.points[poly.hull.vertices])) == \
-        sorted(map(tuple, poly.vertices))
+    # the kept facets are triangles of the vertices, each on its own plane
+    tri = poly.vertices[poly.facets]
+    assert poly.facets.shape == (len(poly.equations), 3)
+    assert sorted(set(poly.facets.ravel().tolist())) == list(range(len(poly.vertices)))
+    offsets = np.einsum("fkj,fj->fk", tri, poly.equations[:, :3]) + poly.equations[:, 3:]
+    assert np.max(np.abs(offsets)) <= 1e-12
     # and a copy of them: changing the caller's array afterwards changes nothing
     cloud = pts.copy()
     poly = Polytope(cloud)
@@ -215,6 +217,16 @@ def test_a_full_rank_3d_polytope_runs_qhull_once(monkeypatch):
     cloud *= 2.0
     assert poly.volume() == volume and np.array_equal(poly.moment(), mom)
     assert part_weighted_measure(poly, 1e-9) == mu
+
+
+def test_a_3d_polytope_keeps_no_interior_point():
+    # qhull's copy of the input goes once the facets are re-indexed into the vertices
+    rng = np.random.default_rng(59)
+    poly = Polytope(rng.uniform(-1.0, 1.0, (200_000, 3)))
+    kept = [a for a in vars(poly).values() if isinstance(a, np.ndarray)]
+    assert len(kept) == 3 and len(poly.vertices) < 1000
+    assert all(len(a) <= 2 * len(poly.vertices) for a in kept)
+    assert math.isclose(poly.volume(), 8.0, rel_tol=0.01)
 
 
 def test_small_polytopes_keep_their_rank_near_and_far_from_the_origin():
@@ -609,6 +621,42 @@ def test_visible_span_branches():
     assert visible_span(box).tolist() == [0.0, 0.0]
 
 
+def _dyadic_polygons(count=24):
+    # vertices on the 1/16 grid, so every translate and power-of-two scale is exact
+    rng = np.random.default_rng(61)
+    out = []
+    while len(out) < count:
+        v = convex_hull_2d(rng.integers(-64, 65, (int(rng.integers(3, 9)), 2)) / 16.0)
+        if len(v) >= 3:
+            out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("k", _DYADIC_ORDERS)
+def test_origin_locator_matches_the_definitions_on_dyadic_polygons(k):
+    # the origin at each vertex, at each edge midpoint and at an interior point
+    s = 2.0 ** k
+    for v in _dyadic_polygons():
+        m = len(v)
+        shifts = [("vertex", i, v[i]) for i in range(m)]
+        shifts += [("boundary", i, 0.5 * (v[i] + v[(i + 1) % m])) for i in range(m)]
+        shifts.append(("interior", None, 0.25 * (v[0] + v[1] + 2.0 * v[2])))
+        for cls, i, shift in shifts:
+            p = Polytope(s * (v - shift))
+            w = p.vertices
+            assert np.array_equal(w, s * (v - shift)) and p.origin_class() == cls
+            if cls == "interior":
+                assert edge_sum(p).tolist() == visible_span(p).tolist() == [0.0, 0.0]
+                with pytest.raises(DomainError):
+                    visible_vertices(p)
+                continue
+            after, before = w[(i + 1) % m], w[i - 1] if cls == "vertex" else w[i]
+            assert np.array_equal(visible_span(p), after - before)
+            want = after + before if cls == "vertex" else np.zeros(2)
+            assert np.array_equal(edge_sum(p), want)
+            assert sorted(visible_vertices(p).tolist()) == sorted([after.tolist(), before.tolist()])
+
+
 def test_edge_operators_on_quarter_scaled_family():
     eps = 0.25
     cone = cone_hull(Polytope([[1.0, 0.0], [0.0, eps]]))
@@ -712,21 +760,28 @@ def test_shear_products_are_exactly_unimodular():
     for n in (2, 3, 4):
         for _ in range(10):
             theta = random_unimodular(n, rng)
-            assert _exact_det(theta.matrix) == 1
-            assert theta.det_exact() == 1
-            assert all(step[0] == "shear" for step in theta.trace)
+            assert isinstance(theta, np.ndarray) and theta.dtype == float
+            assert theta.shape == (n, n)
+            assert _exact_det(theta) == 1
 
 
 def test_diagonal_unimodular():
     d = diagonal_unimodular(3, 2.0)
-    assert _exact_det(d.matrix) == 1
-    assert d.matrix.tolist() == [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.25]]
+    assert _exact_det(d) == 1
+    assert d.tolist() == [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.25]]
     approx = diagonal_unimodular(4, 1.0 / 3.0)
-    assert abs(np.linalg.det(approx.matrix) - 1.0) < 1e-12
+    assert abs(np.linalg.det(approx) - 1.0) < 1e-12
+    for theta, n in ((d, 3), (approx, 4), (shear(3, 0, 2, 0.5), 3)):
+        assert isinstance(theta, np.ndarray) and theta.dtype == float
+        assert theta.shape == (n, n)
     with pytest.raises(DomainError):
         diagonal_unimodular(3, 0.0)
     with pytest.raises(DomainError):
         shear(3, 1, 1, 0.5)
+    with pytest.raises(DomainError):
+        shear(3, 2, -1, 0.5)  # numpy would wrap -1 onto the diagonal entry [2, 2]
+    with pytest.raises(DomainError):
+        shear(3, 3, 0, 0.5)
 
 
 # -- clipping --------------------------------------------------------------

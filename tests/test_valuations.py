@@ -255,7 +255,7 @@ def test_covariance_under_extreme_diagonal_maps(dim, k):
     for xi in (PolynomialComposer([1.0, 0.5]), PolynomialComposer([0.0, 0.0, 0.0, 1.0])):
         for _ in range(4):
             h = _polytope_function(rng, dim)
-            want = theta.matrix @ psi(xi, h)
+            want = theta @ psi(xi, h)
             residual = check_covariance(xi, h, theta)
             assert np.max(np.abs(residual)) <= 1e-9 * np.max(np.abs(want))
 
