@@ -331,6 +331,12 @@ def cmd_psi(ns, settings):
     return 0
 
 
+# the ball ledger's columns that the counterexample table shows
+_COUNTEREXAMPLE_COLUMNS = ("j", "exponent", "beta", "center", "radius",
+                           "ball_lebesgue", "moment_term", "ratio",
+                           "running_moment", "running_lower_bound")
+
+
 def cmd_counterexample(ns, settings):
     phi = _parse_phi(ns.phi)
     xi = _parse_xi(ns.xi)
@@ -341,7 +347,8 @@ def cmd_counterexample(ns, settings):
               "modular_bound": result["modular_bound"],
               "first_moment": result["first_moment"],
               "lower_bound": result["lower_bound"]}
-    _emit(report, result["rows"], settings)
+    _emit(report, [{k: row[k] for k in _COUNTEREXAMPLE_COLUMNS}
+                   for row in result["rows"]], settings)
     return 0
 
 

@@ -100,12 +100,6 @@ class RefinedPair:
     dim: int
     cells: tuple
 
-    def left(self):
-        return SimpleFunction(self.dim, [(a, part) for part, a, _ in self.cells])
-
-    def right(self):
-        return SimpleFunction(self.dim, [(b, part) for part, _, b in self.cells])
-
 
 def _flatten(f):
     return [(v, p) for v, region in f.terms for p in region.parts]
@@ -219,11 +213,9 @@ class GridFunction:
         return f"GridFunction(dim={self.dim}, shape={self.shape})"
 
 
-def rasterize(f, shape, lo=None, hi=None, pad=0.0):
+def rasterize(f, shape):
     """Sample a simple function at cell centers over its support box."""
-    box_lo, box_hi = f.support_box()
-    lo = box_lo - pad if lo is None else np.asarray(lo, float)
-    hi = box_hi + pad if hi is None else np.asarray(hi, float)
+    lo, hi = f.support_box()
     if np.any(lo >= hi):
         raise DomainError("empty rasterization window")
     grid = GridFunction(lo, hi, np.zeros(shape))

@@ -244,7 +244,7 @@ class Polytope:
 
     def __init__(self, points):
         pts = np.atleast_2d(np.asarray(points, float))
-        if pts.ndim != 2 or pts.shape[0] == 0:
+        if pts.ndim != 2 or pts.size == 0:
             raise DomainError("a polytope needs at least one point")
         if not np.all(np.isfinite(pts)):
             raise DomainError("polytope vertices must be finite")
@@ -326,8 +326,10 @@ class Polytope:
             return "vertex"
         if self.rank < self.dim:
             return "boundary" if self.contains(np.zeros(self.dim)) else "outside"
-        # the origin's least distance inside a facet: minus the largest offset
-        margin = -float(np.max(self.equations[:, -1]))
+        # the origin's least distance inside a facet: minus the largest
+        # offset, or the distance to the nearer end of a segment
+        margin = (float(min(-v[0, 0], v[1, 0])) if self.dim == 1
+                  else -float(np.max(self.equations[:, -1])))
         if margin < -tol:
             return "outside"
         if margin <= tol:

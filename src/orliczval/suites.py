@@ -24,13 +24,13 @@ from .regions import (
     OriginBall,
     Region,
     cube_cover,
-    part_weighted_measure,
     radial_part,
     unit_ball_volume,
 )
 from .valuations import (
     OddComposer,
     PolynomialComposer,
+    _ball_ledger,
     build_divergence_plan,
     check_cphi,
     check_covariance,
@@ -74,14 +74,14 @@ def _random_polygon_pair(rng):
     return one(), one()
 
 
-def suite_valuation(pairs=200, seed=7, residual_max=1e-9, dims=(2, 3)):
-    """Lattice-identity residuals over random refinable pairs."""
+def suite_valuation(pairs=200, seed=7, residual_max=1e-9):
+    """Lattice-identity residuals over random refinable pairs in 2D and 3D."""
     rng = np.random.default_rng(seed)
     composers = [PolynomialComposer([1.0, -0.5, 0.25]),
                  OddComposer(PowerYoung(2.0))]
     rows = []
     worst = 0.0
-    for dim in dims:
+    for dim in (2, 3):
         for case in range(pairs):
             kind = case % (3 if dim == 2 else 2)
             if kind == 0:
@@ -100,7 +100,7 @@ def suite_valuation(pairs=200, seed=7, residual_max=1e-9, dims=(2, 3)):
                          "residual": residual})
     ok = worst <= residual_max
     return {"name": "valuation", "ok": ok, "rows": rows,
-            "summary": {"pairs": pairs * len(dims), "max_residual": worst,
+            "summary": {"pairs": 2 * pairs, "max_residual": worst,
                         "residual_max": residual_max, "ok": ok}}
 
 
@@ -116,15 +116,15 @@ def _polytope_function(rng, dim):
                                 (rng.uniform(-2.0, -0.5), Region([shifted]))])
 
 
-def suite_covariance(count=100, seed=13, residual_max=1e-9, dims=(2, 3)):
-    """Covariance residuals for random shear products and the diagonal
-    family with k = 2 and k = 1/3."""
+def suite_covariance(count=100, seed=13, residual_max=1e-9):
+    """Covariance residuals in 2D and 3D for random shear products and
+    the diagonal family with k = 2 and k = 1/3."""
     rng = np.random.default_rng(seed)
     composers = [PolynomialComposer([1.0, 0.5]),
                  PolynomialComposer([0.0, 0.0, 0.0, 1.0])]
     rows = []
     worst = 0.0
-    for dim in dims:
+    for dim in (2, 3):
         for case in range(count):
             h = _polytope_function(rng, dim)
             theta = random_unimodular(dim, rng)
@@ -143,7 +143,7 @@ def suite_covariance(count=100, seed=13, residual_max=1e-9, dims=(2, 3)):
                          "residual": residual})
     ok = worst <= residual_max
     return {"name": "covariance", "ok": ok, "rows": rows,
-            "summary": {"maps": (count + 2) * len(dims),
+            "summary": {"maps": 2 * (count + 2),
                         "max_residual": worst,
                         "residual_max": residual_max, "ok": ok}}
 
@@ -209,52 +209,45 @@ def suite_constraint_system():
                         "ok": ok}}
 
 
-def suite_divergence(terms=50, dim=2):
-    """Bounded-modular ball family with divergent first moment (deterministic)."""
+# the ball ledger's columns as the divergence table names them, in its order
+_DIVERGENCE_COLUMNS = {"j": "j", "beta": "beta", "center": "center",
+                       "radius": "radius", "modular_prefix": "modular_prefix",
+                       "modular_cap": "modular_cap",
+                       "running_moment": "moment_prefix",
+                       "running_lower_bound": "lower_bound_prefix",
+                       "ratio": "ratio"}
+
+
+def suite_divergence(terms=50):
+    """Bounded-modular ball family with divergent first moment (deterministic).
+
+    The table is the ball ledger of ``valuations`` with each ball
+    measured to 1e-8.
+    """
     phi = PowerYoung(2.0)
     xi = PolynomialComposer([0.0, 0.0, 0.0, 1.0])
     growth = check_cphi(xi, phi)
-    plan = build_divergence_plan(xi, phi, terms, dim=dim)
-    omega = unit_ball_volume(dim)
-    rows = []
-    running_modular = 0.0
-    running_bound = 0.0
-    running_moment = 0.0
-    running_ratio = 0.0
-    every_prefix_ok = True
-    for j in range(terms):
-        ball = plan.ball(j)
-        mu = part_weighted_measure(ball, abs_tol=1e-8)[0]
-        lam = omega * plan.radii[j] ** dim
-        running_modular += float(phi.eval(abs(plan.betas[j]))) * mu
-        running_bound += 2.0 ** -plan.exponents[j]
-        running_moment += float(xi(plan.betas[j])) * plan.centers[j] * lam
-        ratio = plan.centers[j] / (plan.centers[j] + plan.radii[j])
-        running_ratio += ratio
-        if not (running_modular <= min(running_bound, 1.0) + 1e-8
-                and ratio > 0.8):
-            every_prefix_ok = False
-        rows.append({"j": j + 1, "beta": plan.betas[j],
-                     "center": plan.centers[j], "radius": plan.radii[j],
-                     "modular_prefix": running_modular,
-                     "modular_cap": running_bound,
-                     "moment_prefix": running_moment,
-                     "lower_bound_prefix": running_ratio,
-                     "ratio": ratio})
+    _, ledger = _ball_ledger(build_divergence_plan(xi, phi, terms), terms, 1e-8)
+    rows = [{name: row[key] for key, name in _DIVERGENCE_COLUMNS.items()}
+            for row in ledger]
+    every_prefix_ok = all(
+        row["modular_prefix"] <= min(row["modular_cap"], 1.0) + 1e-8
+        and row["ratio"] > 0.8 for row in rows)
+    last = rows[-1]
     threshold = 0.8 * terms  # 40 at the reference length of 50 terms
     ok = (not growth["certified_on_grid"] and growth["diverges_large_end"]
-          and every_prefix_ok and running_ratio > threshold
-          and running_moment > running_ratio)
+          and every_prefix_ok and last["lower_bound_prefix"] > threshold
+          and last["moment_prefix"] > last["lower_bound_prefix"])
     return {"name": "divergence", "ok": ok, "rows": rows,
             "summary": {"terms": terms,
                         "growth_flagged": not growth["certified_on_grid"],
-                        "modular_final": running_modular,
-                        "modular_cap": running_bound,
-                        "moment_final": running_moment,
-                        "lower_bound_final": running_ratio,
+                        "modular_final": last["modular_prefix"],
+                        "modular_cap": last["modular_cap"],
+                        "moment_final": last["moment_prefix"],
+                        "lower_bound_final": last["lower_bound_prefix"],
                         "lower_bound_threshold": threshold,
                         "lower_bound_exceeds_threshold":
-                            running_ratio > threshold,
+                            last["lower_bound_prefix"] > threshold,
                         "ok": ok}}
 
 

@@ -33,12 +33,15 @@ from .regions import (
     unit_ball_volume,
 )
 
-_WITNESS_GRID = (1e-6, 1e6, 241)
-
-
-def _default_grid():
-    lo, hi, m = _WITNESS_GRID
-    return np.geomspace(lo, hi, m)
+# The growth checks' sample heights: the witness certificate and
+# check_cphi read the growth grid, the witness search the wider search
+# grid.  check_cphi reads a divergence off the last _TAIL ratios at
+# either end, and a plan doubles a ball's center at most _CENTER_RETRIES
+# times.
+_GROWTH_GRID = np.geomspace(1e-6, 1e6, 241)
+_SEARCH_GRID = np.geomspace(1e-6, 1e12, 4001)
+_TAIL = 8
+_CENTER_RETRIES = 60
 
 
 class Composer:
@@ -60,7 +63,7 @@ class Composer:
             cphi_witness = (lam, phi)
         self.cphi_witness = cphi_witness
         if cphi_witness is not None:
-            self.certify_witness(_default_grid())
+            self.certify_witness()
 
     def eval(self, t):
         raise NotImplementedError
@@ -68,13 +71,12 @@ class Composer:
     def __call__(self, t):
         return self.eval(t)
 
-    def certify_witness(self, grid):
-        """Check the stored growth bound on ``grid`` and its negation."""
+    def certify_witness(self):
+        """Check the stored growth bound on the growth grid and its negation."""
         if self.cphi_witness is None:
             raise DomainError("no growth witness stored")
         lam, phi = self.cphi_witness
-        grid = np.asarray(grid, float)
-        grid = grid[grid > 0.0]
+        grid = _GROWTH_GRID
         bound = lam * np.asarray(phi.eval(grid))
         for signed in (grid, -grid):
             mag = np.abs(np.asarray(self.eval(signed)))
@@ -279,7 +281,7 @@ def check_covariance(xi, h, theta):
     return psi(xi, moved) - mat @ psi(xi, h)
 
 
-def check_cphi(xi, phi, beta_grid=None, delta=1.0, tail=8):
+def check_cphi(xi, phi, delta=1.0):
     """Grid certificate for the growth bound |xi(b)| <= lambda * phi(delta |b|).
 
     Reports the sup of the ratio over the signed grid as the candidate
@@ -288,20 +290,15 @@ def check_cphi(xi, phi, beta_grid=None, delta=1.0, tail=8):
     with the offending beta instead.  A certificate at grid scale, not
     a proof.
     """
-    if beta_grid is None:
-        beta_grid = _default_grid()
-    grid = np.asarray(beta_grid, float)
-    grid = np.sort(grid[grid > 0.0])
-    if len(grid) < 2 * tail:
-        raise DomainError("growth-bound grid too short")
+    grid = _GROWTH_GRID
     denom = np.asarray(phi.eval(delta * grid))
     mag = np.maximum(np.abs(np.asarray(xi(grid))),
                      np.abs(np.asarray(xi(-grid))))
     ratios = mag / denom
-    head = ratios[:tail]
-    rear = ratios[-tail:]
-    diverges_small = bool(np.all(np.diff(head) < 0.0) and head[0] > ratios[tail])
-    diverges_large = bool(np.all(np.diff(rear) > 0.0) and rear[-1] > ratios[-tail - 1])
+    head = ratios[:_TAIL]
+    rear = ratios[-_TAIL:]
+    diverges_small = bool(np.all(np.diff(head) < 0.0) and head[0] > ratios[_TAIL])
+    diverges_large = bool(np.all(np.diff(rear) > 0.0) and rear[-1] > ratios[-_TAIL - 1])
     certified = not (diverges_small or diverges_large)
     violation = None
     if diverges_small:
@@ -319,45 +316,30 @@ def check_cphi(xi, phi, beta_grid=None, delta=1.0, tail=8):
     }
 
 
-def find_divergence_witnesses(xi, phi, count, grid=None):
+def find_divergence_witnesses(xi, phi, count):
     """Heights whose composed value beats doubling multiples of phi.
 
-    For each exponent i = 1..count, finds a grid height b with
-    s * xi(b) > 2**i * phi(|b|) for a sign s fixed across the whole
-    sequence.  Returns (s, betas).  Raises when the grid runs out,
-    which is exactly the certified case of :func:`check_cphi`.
+    For each exponent i = 1..count, finds a height b of the search grid
+    with s * xi(b) > 2**i * phi(|b|), the smallest such |b|, for one
+    sign s: +1 when some height works at i = 1, else -1.  Returns
+    (s, betas).  Raises when the grid runs out, which is exactly the
+    certified case of :func:`check_cphi`.
     """
-    if grid is None:
-        grid = np.geomspace(1e-6, 1e12, 4001)
-    grid = np.asarray(grid, float)
-    candidates = np.concatenate((grid, -grid))
+    candidates = np.concatenate((_SEARCH_GRID, -_SEARCH_GRID))
     values = np.asarray(xi(candidates))
     weights = np.asarray(phi.eval(np.abs(candidates)))
     order = np.argsort(np.abs(candidates), kind="stable")
     candidates, values, weights = candidates[order], values[order], weights[order]
-    sign = 0.0
+    sign = 1.0 if np.any(values > 2.0 * weights) else -1.0
+    values = sign * values
     betas = []
     for i in range(1, count + 1):
-        threshold = 2.0 ** i * weights
-        if sign == 0.0:
-            ok_pos = values > threshold
-            ok_neg = -values > threshold
-            if np.any(ok_pos):
-                sign = 1.0
-                ok = ok_pos
-            elif np.any(ok_neg):
-                sign = -1.0
-                ok = ok_neg
-            else:
-                raise WitnessNotFoundError(
-                    f"no height on the grid beats 2**{i} times the gauge")
-        else:
-            ok = sign * values > threshold
-            if not np.any(ok):
-                raise WitnessNotFoundError(
-                    f"no height on the grid beats 2**{i} times the gauge "
-                    f"with consistent sign")
-        betas.append(float(candidates[np.argmax(ok)]))
+        ok = values > 2.0 ** i * weights
+        k = np.argmax(ok)
+        if not ok[k]:
+            raise WitnessNotFoundError(
+                f"no height on the grid beats 2**{i} times the gauge")
+        betas.append(float(candidates[k]))
     return sign, betas
 
 
@@ -418,11 +400,11 @@ class DivergencePlan:
         return True
 
 
-def build_divergence_plan(xi, phi, count, dim=2, grid=None, max_retries=60):
+def build_divergence_plan(xi, phi, count, dim=2):
     """Construct and validate the ball family for ``count`` terms."""
     if dim < 2:
         raise DomainError("need dimension at least 2")
-    sign, betas = find_divergence_witnesses(xi, phi, count, grid)
+    sign, betas = find_divergence_witnesses(xi, phi, count)
     omega = unit_ball_volume(dim)
     exponents = []
     budgets = []
@@ -432,7 +414,7 @@ def build_divergence_plan(xi, phi, count, dim=2, grid=None, max_retries=60):
     for j, beta in enumerate(betas, start=1):
         budget = 1.0 / (2.0 ** j * float(phi.eval(abs(beta))))
         c = max(3.0 * j, prev_c + 3.0)
-        for _ in range(max_retries):
+        for _ in range(_CENTER_RETRIES):
             # Need a root r < 1, so the unit-radius value must reach the
             # budget; enlarging c only shrinks the root.
             if (c + 1.0) * omega >= budget:
@@ -441,7 +423,7 @@ def build_divergence_plan(xi, phi, count, dim=2, grid=None, max_retries=60):
         else:
             raise ConstructionError(
                 f"no admissible radius below 1 for term {j} after "
-                f"{max_retries} center retries")
+                f"{_CENTER_RETRIES} center retries")
         r = solve_monotone(lambda rr: (c + rr) * omega * rr ** dim, budget,
                            lo=0.0, hi=1.0, rel_tol=1e-14)
         exponents.append(j)
@@ -457,54 +439,64 @@ def build_divergence_plan(xi, phi, count, dim=2, grid=None, max_retries=60):
     return plan
 
 
+def _ball_ledger(plan, J, ball_tol):
+    """The running table of the first ``J`` balls of ``plan``.
+
+    Returns the balls as one-part regions and one row per ball, all
+    numbers Python floats: the ball's Lebesgue and weighted measure
+    (``mu``, to ``ball_tol``), its first moment term and the ratio
+    c_j / (c_j + r_j), and the running sums of the moment terms, of the
+    ratios (the lower bound), of the modular terms phi(|beta_j|) mu_j
+    and of their caps 2**-i_j.  The only code that tabulates the family.
+    """
+    omega = unit_ball_volume(plan.dim)
+    regions = [Region([plan.ball(j)]) for j in range(J)]
+    xis = np.asarray(plan.xi(np.array(plan.betas[:J]))).tolist()
+    gauges = np.asarray(plan.phi.eval(np.abs(plan.betas[:J]))).tolist()
+    rows = []
+    moment = lower = mod = cap = 0.0
+    for j in range(J):
+        beta, c, r = plan.betas[j], plan.centers[j], plan.radii[j]
+        lam = omega * r ** plan.dim
+        mu = float(regions[j].weighted_measure(ball_tol).value)
+        term = xis[j] * c * lam
+        ratio = c / (c + r)
+        moment += term
+        lower += ratio
+        mod += gauges[j] * mu
+        cap += 2.0 ** -plan.exponents[j]
+        rows.append({"j": j + 1, "exponent": plan.exponents[j], "beta": beta,
+                     "center": c, "radius": r, "ball_lebesgue": lam,
+                     "moment_term": term, "ratio": ratio,
+                     "running_moment": moment, "running_lower_bound": lower,
+                     "mu": mu, "modular_prefix": mod, "modular_cap": cap})
+    return regions, rows
+
+
 def divergent_truncation(plan, J, abs_tol=1e-6):
     """The J-term truncation with its modular and moment bookkeeping.
 
     Returns the truncated simple function, its modular (quadrature)
     together with the closed-form cap sum of 2**-i_j <= 1, and the
     first moment coordinate with its per-term lower bounds
-    c_j / (c_j + r_j), all as a row table.  The modular tolerance is
-    coarse because the only claim made about the modular is its
-    distance to the closed-form cap; it is split over the balls, and
-    a tolerance down to about 1e-12 can still be met.
+    c_j / (c_j + r_j), with the ball ledger as the row table.  The
+    modular tolerance is coarse because the only claim made about the
+    modular is its distance to the closed-form cap; it is split over
+    the balls, and a tolerance down to about 1e-12 can still be met.
+    The ledger measures each ball to that share, which is what
+    ``modular`` asks of each term, so the modular reads those measures.
     """
     if not 1 <= J <= len(plan):
         raise DomainError(f"J must lie in [1, {len(plan)}]")
-    terms = [(plan.betas[j], Region([plan.ball(j)])) for j in range(J)]
-    h = SimpleFunction(plan.dim, terms)
+    regions, rows = _ball_ledger(plan, J, abs_tol / J)
+    h = SimpleFunction(plan.dim, zip(plan.betas, regions))
     h.check_disjoint()
-    rows = []
-    running_moment = 0.0
-    running_bound = 0.0
-    modular_bound = 0.0
-    omega = unit_ball_volume(plan.dim)
-    for j in range(J):
-        lam = omega * plan.radii[j] ** plan.dim
-        term_moment = float(plan.xi(plan.betas[j])) * plan.centers[j] * lam
-        ratio = plan.centers[j] / (plan.centers[j] + plan.radii[j])
-        running_moment += term_moment
-        running_bound += ratio
-        modular_bound += 2.0 ** -plan.exponents[j]
-        rows.append({
-            "j": j + 1,
-            "exponent": plan.exponents[j],
-            "beta": plan.betas[j],
-            "center": plan.centers[j],
-            "radius": plan.radii[j],
-            "ball_lebesgue": lam,
-            "moment_term": term_moment,
-            "ratio": ratio,
-            "running_moment": running_moment,
-            "running_lower_bound": running_bound,
-        })
-    value = modular(plan.phi, h, abs_tol=abs_tol)
-    first_moment = float(psi(plan.xi, h)[0])
     return {
         "h": h,
-        "modular": value,
-        "modular_bound": modular_bound,
-        "first_moment": first_moment,
-        "lower_bound": running_bound,
+        "modular": modular(plan.phi, h, abs_tol=abs_tol),
+        "modular_bound": rows[-1]["modular_cap"],
+        "first_moment": float(psi(plan.xi, h)[0]),
+        "lower_bound": rows[-1]["running_lower_bound"],
         "sign": plan.sign,
         "rows": rows,
     }

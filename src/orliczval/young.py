@@ -336,9 +336,9 @@ class ConjugatePair:
     duality relations.
     """
 
-    def __init__(self, phi, phi_star=None):
+    def __init__(self, phi):
         self.phi = phi
-        self.phi_star = phi.conjugate() if phi_star is None else phi_star
+        self.phi_star = phi.conjugate()
 
     def gap(self, s, t):
         """``phi(s) + phi*(t) - s*t``; nonnegative, zero at ``t = phi'(s)``."""
@@ -367,19 +367,19 @@ class ConjugatePair:
                 "worst_equality_gap": worst_eq}
 
 
-def young_gap(phi, s, t, phi_star=None):
+def young_gap(phi, s, t):
     """Young-inequality gap ``phi(s) + phi*(t) - s*t``."""
-    return ConjugatePair(phi, phi_star).gap(s, t)
+    return ConjugatePair(phi).gap(s, t)
 
 
-def delta2_report(phi, t_min=1e-6, t_max=50.0, points=200, cap=1e6):
+def delta2_report(phi, t_max=50.0):
     """Check the doubling condition ``phi(2t) <= C * phi(t)``.
 
     For the power family the condition is exact with ``C = 2**p`` and
     no threshold.  For every other family the ratio ``phi(2t)/phi(t)``
-    is examined on a geometric grid; this is a finite-grid check, not a
-    proof.  The verdict is negative when the supremum of the ratio
-    exceeds ``cap``.
+    is examined on a geometric grid of 200 points from ``1e-6`` to
+    ``t_max``; this is a finite-grid check, not a proof.  The verdict is
+    negative when the supremum of the ratio exceeds ``1e6``.
 
     Returns a dict with keys ``holds``, ``kind`` (``"exact"`` or
     ``"grid"``), ``constant``, ``threshold``, ``sup_ratio``,
@@ -389,28 +389,29 @@ def delta2_report(phi, t_min=1e-6, t_max=50.0, points=200, cap=1e6):
         c = 2.0 ** phi.p
         return {"holds": True, "kind": "exact", "constant": c, "threshold": 0.0,
                 "sup_ratio": c, "witness_t": None, "tail_growing": False}
-    ts = np.geomspace(t_min, t_max, points)
+    ts = np.geomspace(1e-6, t_max, 200)
     with np.errstate(over="ignore", invalid="ignore"):
         ratios = np.asarray(phi.eval(2.0 * ts)) / np.asarray(phi.eval(ts))
     i = int(np.nanargmax(ratios))
     sup_ratio = float(ratios[i])
     tail_growing = bool(ratios[-1] > ratios[-2] > ratios[-3])
-    holds = sup_ratio <= cap
+    holds = sup_ratio <= 1e6
     return {"holds": holds, "kind": "grid",
             "constant": sup_ratio if holds else None,
-            "threshold": float(t_min), "sup_ratio": sup_ratio,
+            "threshold": 1e-6, "sup_ratio": sup_ratio,
             "witness_t": float(ts[i]), "tail_growing": tail_growing}
 
 
-def limit_report(phi, t_max=1e13, points=400, rel_tol=1e-12):
+def limit_report(phi, t_max=1e13):
     """Slope behaviour of ``phi`` at infinity and of its inverse.
 
-    Tabulates ``phi(t)/t`` on a geometric grid ``[1, t_max]`` and
-    ``phi^{-1}(y)/y`` on the image grid, and reports whether the former
-    climbs above ``1e6`` and the latter falls below ``1e-6`` within the
-    grid, along with monotonicity of both ratio sequences.
+    Tabulates ``phi(t)/t`` on a geometric grid of 400 points in
+    ``[1, t_max]`` and ``phi^{-1}(y)/y`` (inverted to ``1e-12``) on the
+    image grid, and reports whether the former climbs above ``1e6`` and
+    the latter falls below ``1e-6`` within the grid, along with
+    monotonicity of both ratio sequences.
     """
-    ts = np.geomspace(1.0, t_max, points)
+    ts = np.geomspace(1.0, t_max, 400)
     with np.errstate(over="ignore"):
         vals = np.asarray(phi.eval(ts))
     ratios = vals / ts
@@ -423,7 +424,7 @@ def limit_report(phi, t_max=1e13, points=400, rel_tol=1e-12):
     ys = ys[ys < 1e300]
     inv_ratios = []
     for y in ys[:: max(1, len(ys) // 60)]:
-        inv_ratios.append(phi.inverse(float(y), rel_tol=rel_tol) / float(y))
+        inv_ratios.append(phi.inverse(float(y), rel_tol=1e-12) / float(y))
     inv_ratios = np.asarray(inv_ratios)
     shrink_ok = bool(np.all(np.diff(inv_ratios) < 1e-9 * inv_ratios[:-1] + 1e-30))
     return {

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from orliczval import regions
 from orliczval.cli import main
 from orliczval.functions import SimpleFunction
 from orliczval.polytopes import Polytope
@@ -23,7 +24,14 @@ from orliczval.suites import (
     suite_valuation,
     suite_young_limits,
 )
-from orliczval.valuations import PolynomialComposer, psi
+from orliczval.valuations import (
+    PolynomialComposer,
+    _ball_ledger,
+    build_divergence_plan,
+    divergent_truncation,
+    psi,
+)
+from orliczval.young import PowerYoung
 
 # indicator of the unit disk: mu = 2*pi/3, phi = t^2/2
 DISK_MU = 2.0 * math.pi / 3.0
@@ -82,6 +90,31 @@ def test_suite_divergence_prefixes():
         assert row["lower_bound_prefix"] > prev
         prev = row["lower_bound_prefix"]
     assert out["summary"]["moment_final"] > out["summary"]["lower_bound_final"]
+
+
+def test_divergence_suite_reads_the_truncation_table(monkeypatch):
+    phi = PowerYoung(2.0)
+    xi = PolynomialComposer([0.0, 0.0, 0.0, 1.0])
+    # the suite's name of each renamed ledger column
+    ledger_name = {"moment_prefix": "running_moment",
+                   "lower_bound_prefix": "running_lower_bound"}
+    for J in (1, 12):
+        plan = build_divergence_plan(xi, phi, J)
+        _, ledger = _ball_ledger(plan, J, 1e-8)
+        rows = suite_divergence(terms=J)["rows"]
+        assert len(rows) == len(ledger) == J
+        for row, line in zip(rows, ledger):
+            assert row == {name: line[ledger_name.get(name, name)] for name in row}
+        measured = []
+        measure = regions.part_weighted_measure
+        monkeypatch.setattr(regions, "part_weighted_measure",
+                            lambda *args: measured.append(args) or measure(*args))
+        result = divergent_truncation(plan, J)
+        monkeypatch.undo()
+        # the modular reads the ledger's measures: one measurement per ball
+        assert len(measured) == J
+        assert math.isclose(result["rows"][-1]["modular_prefix"],
+                            result["modular"], rel_tol=1e-12)
 
 
 def test_suite_continuity_clauses():
@@ -301,6 +334,12 @@ def test_cli_bad_input_exit_codes(capsys):
     assert rc == 2
     with pytest.raises(SystemExit):
         main(["verify", "nosuchsuite"])
+
+
+def test_cli_moment_rejects_an_empty_polytope(capsys):
+    rc, out, err = run_cli(capsys, "moment", "--poly", "[]")
+    assert rc == 2 and out == ""
+    assert "a polytope needs at least one point" in err
 
 
 def test_cli_norm_rejects_an_infinite_box_bound(capsys):

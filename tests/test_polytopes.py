@@ -283,6 +283,13 @@ def test_origin_classification():
     assert Polytope(cube).origin_class() == "vertex"
 
 
+def test_origin_classification_of_a_segment():
+    # a full-rank 1D polytope has its two ends as facets
+    assert Polytope([[-1.0], [1.0]]).origin_class() == "interior"
+    assert Polytope([[1.0], [2.0]]).origin_class() == "outside"
+    assert Polytope([[0.0], [1.0]]).origin_class() == "vertex"
+
+
 def test_flat_polytope_membership_in_its_own_flat(monkeypatch):
     frames = []
     frame = polytopes._frame
