@@ -239,7 +239,9 @@ def _parse_xi(token):
 
 
 def _parse_simple(token):
-    return SimpleFunction.from_json(_inline_or_file(token))
+    h = SimpleFunction.from_json(_inline_or_file(token))
+    h.check_disjoint()  # the library trusts its terms to be disjoint
+    return h
 
 
 def _build_young(ns):

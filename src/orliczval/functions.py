@@ -24,8 +24,8 @@ from .regions import Region, _box_hull, part_contains, refinement_cells  # noqa:
 class SimpleFunction:
     """Finitely many (value, region) terms over disjoint regions.
 
-    Zero values and zero-measure regions are dropped on construction,
-    so the term list is a canonical support description.
+    Zero values and zero-measure regions are dropped on construction;
+    other terms are kept as given, so two terms may share a value.
     """
 
     def __init__(self, dim, terms):
@@ -127,20 +127,27 @@ def refine(f, g):
     return RefinedPair(f.dim, tuple(cells))
 
 
+def _by_value(dim, cells):
+    # one term per distinct nonzero value, on the union of its cells, in first-seen order
+    groups = {}
+    for value, part in cells:
+        if value != 0.0:
+            groups.setdefault(value, []).append(part)
+    return SimpleFunction(dim, [(v, Region(parts, dim=dim)) for v, parts in groups.items()])
+
+
 def lattice_max_min(f, g):
-    """Pointwise (max, min) of two refinable simple functions."""
+    """Pointwise (max, min) of two refinable simple functions, one term per value."""
     pair = refine(f, g)
-    top = SimpleFunction(pair.dim,
-                         [(max(a, b), part) for part, a, b in pair.cells])
-    bottom = SimpleFunction(pair.dim,
-                            [(min(a, b), part) for part, a, b in pair.cells])
+    top = _by_value(pair.dim, [(max(a, b), part) for part, a, b in pair.cells])
+    bottom = _by_value(pair.dim, [(min(a, b), part) for part, a, b in pair.cells])
     return top, bottom
 
 
 def difference(f, g):
-    """f - g as a simple function on the common refinement."""
+    """f - g on the common refinement, one term per distinct nonzero value."""
     pair = refine(f, g)
-    return SimpleFunction(pair.dim, [(a - b, part) for part, a, b in pair.cells])
+    return _by_value(pair.dim, [(a - b, part) for part, a, b in pair.cells])
 
 
 def positive_negative_parts(f):

@@ -22,21 +22,20 @@ from .regions import Region
 
 
 def _atoms(h, abs_tol):
-    """(|values|, weighted measures) with zero values dropped."""
+    """Distinct nonzero |values|, ascending, and the summed weighted measure
+    of each: the modular depends on ``h`` only through these."""
     if isinstance(h, SimpleFunction):
-        if not h.terms:
-            return np.zeros(0), np.zeros(0)
-        per_term = abs_tol / len(h.terms)
+        per_term = abs_tol / max(len(h.terms), 1)
         vals = np.array([abs(v) for v, _ in h.terms])
-        mus = np.array([r.weighted_measure(per_term).value
-                        for _, r in h.terms])
-        return vals, mus
-    if isinstance(h, GridFunction):
+        mus = np.array([r.weighted_measure(per_term).value for _, r in h.terms])
+    elif isinstance(h, GridFunction):
         vals = np.abs(h.flat_values())
-        mus, _ = h.cell_weighted_measures()
-        keep = vals > 0.0
-        return vals[keep], mus[keep]
-    raise DomainError(f"cannot take atoms of {type(h).__name__}")
+        mus = h.cell_weighted_measures()[0][vals > 0.0]
+        vals = vals[vals > 0.0]
+    else:
+        raise DomainError(f"cannot take atoms of {type(h).__name__}")
+    atoms, which = np.unique(vals, return_inverse=True)
+    return atoms, np.bincount(which, weights=mus)
 
 
 def _weighted_sum(f, t, mus):
@@ -67,7 +66,10 @@ def luxemburg_norm(phi, h, rel_tol=1e-10, abs_tol=1e-9):
     whose bracket starts at ``1 / max|h|`` and doubles as needed,
     always lands on the unique root.
     """
-    vals, mus = _atoms(h, abs_tol)
+    return _luxemburg(phi, *_atoms(h, abs_tol), rel_tol)
+
+
+def _luxemburg(phi, vals, mus, rel_tol=1e-10):
     if len(vals) == 0:
         return 0.0
     u = solve_monotone(lambda u: _weighted_sum(phi.eval, np.multiply.outer(u, vals), mus),
@@ -86,7 +88,10 @@ def orlicz_norm(phi, h, rel_tol=1e-12, abs_tol=1e-9):
     ``k = 0`` finds the minimiser.  Where ``phi'`` is flat the root is
     not unique, but every root gives the same minimum.
     """
-    vals, mus = _atoms(h, abs_tol)
+    return _orlicz(phi, *_atoms(h, abs_tol), rel_tol)
+
+
+def _orlicz(phi, vals, mus, rel_tol=1e-12):
     if len(vals) == 0:
         return 0.0
 
@@ -127,12 +132,12 @@ def norm_report(phi, h, abs_tol=1e-9):
     ``luxemburg <= orlicz <= 2 * luxemburg`` up to rounding slack, and
     ``modular_at_luxemburg`` which sits at 1 for nonzero ``h``.
     """
-    lux = luxemburg_norm(phi, h, abs_tol=abs_tol)
-    orl = orlicz_norm(phi, h, abs_tol=abs_tol)
+    vals, mus = _atoms(h, abs_tol)
+    lux = _luxemburg(phi, vals, mus)
+    orl = _orlicz(phi, vals, mus)
     if lux == 0.0:
         return {"luxemburg": 0.0, "orlicz": orl, "ratio": float("nan"),
                 "equivalence_ok": orl == 0.0, "modular_at_luxemburg": 0.0}
-    vals, mus = _atoms(h, abs_tol)
     mod_at = float(_weighted_sum(phi.eval, vals / lux, mus))
     slack = 1e-9 * max(1.0, lux)
     ok = (lux <= orl + slack) and (orl <= 2.0 * lux + slack)

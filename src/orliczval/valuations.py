@@ -220,14 +220,14 @@ def composer_from_json(obj):
 
 
 def psi(xi, h):
-    """Moment vector of the composed function: sum of value-composed
-    term heights times region moments.  Exact for simple functions;
-    the implicit zero off the support contributes nothing because the
-    composer vanishes at 0."""
-    out = np.zeros(h.dim)
-    for value, region in h.terms:
-        out += xi(value) * region.moment()
-    return out
+    """Moment vector of the composed function: the composed term heights
+    times the region moments.  Exact for simple functions; the implicit
+    zero off the support contributes nothing because the composer
+    vanishes at 0.  One composer call on the array of term values."""
+    if not h.terms:
+        return np.zeros(h.dim)
+    heights = np.asarray(xi(np.array([v for v, _ in h.terms])), float)
+    return heights @ np.array([region.moment() for _, region in h.terms])
 
 
 def psi_quadrature(xi, grid):
@@ -257,16 +257,15 @@ def check_sign_decomposition(xi, h):
 
 
 def _transform_function(h, theta):
-    parts = []
+    terms = []
     for value, region in h.terms:
-        for part in region.parts:
-            if not isinstance(part, Polytope):
-                raise CapabilityError(
-                    "covariance checking needs polytope regions (linear "
-                    "images of the other primitives leave the region "
-                    "algebra); rebuild the function over Polytope parts")
-            parts.append((value, part.transform(theta)))
-    return SimpleFunction(h.dim, [(v, Region([p])) for v, p in parts])
+        if not all(isinstance(part, Polytope) for part in region.parts):
+            raise CapabilityError(
+                "covariance checking needs polytope regions (linear "
+                "images of the other primitives leave the region "
+                "algebra); rebuild the function over Polytope parts")
+        terms.append((value, Region([p.transform(theta) for p in region.parts], dim=h.dim)))
+    return SimpleFunction(h.dim, terms)
 
 
 def check_covariance(xi, h, theta):
@@ -380,10 +379,12 @@ class DivergencePlan:
         omega = unit_ball_volume(self.dim)
         prev_c = None
         prev_ratio = None
-        for i, beta, budget, c, r in zip(self.exponents, self.betas,
-                                         self.budgets, self.centers, self.radii):
-            if not (self.sign * self.xi(beta)
-                    > 2.0 ** i * self.phi.eval(abs(beta))):
+        xis = np.asarray(self.xi(np.array(self.betas))).tolist()
+        gauges = np.asarray(self.phi.eval(np.abs(self.betas))).tolist()
+        for i, beta, x, gauge, budget, c, r in zip(
+                self.exponents, self.betas, xis, gauges, self.budgets,
+                self.centers, self.radii):
+            if not self.sign * x > 2.0 ** i * gauge:
                 raise ConstructionError(f"witness fails at beta = {beta!r}")
             if not 0.0 < r < 1.0:
                 raise ConstructionError(f"radius out of range: {r!r}")

@@ -351,6 +351,19 @@ def test_cli_norm_rejects_an_infinite_box_bound(capsys):
     assert "need lo < hi on every axis, all finite" in err
 
 
+def test_cli_rejects_overlapping_simple_input(capsys):
+    box = {"kind": "axis_box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}
+    twice = json.dumps({"dim": 2, "terms": [{"value": 1.0, "region": {"dim": 2, "parts": [box]}},
+                                            {"value": 1.0, "region": {"dim": 2, "parts": [box]}}]})
+    for argv in (("norm", "--phi", "power:2"), ("psi", "--xi", "identity")):
+        rc, out, err = run_cli(capsys, *argv, "--simple", twice)
+        assert rc == 2 and out == ""
+        assert "box overlap between" in err
+    once = json.dumps({"dim": 2, "terms": [{"value": 1.0, "region": {"dim": 2, "parts": [box]}}]})
+    rc, out, _ = run_cli(capsys, "norm", "--phi", "power:2", "--simple", once)
+    assert rc == 0 and json.loads(out)["luxemburg"] == pytest.approx(0.6185, abs=1e-4)
+
+
 def test_cli_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "orliczval.cli", "young", "eval",

@@ -29,6 +29,7 @@ from orliczval.functions import (
     refine,
 )
 from orliczval.norms import (
+    _atoms,
     indicator_norm,
     luxemburg_norm,
     modular,
@@ -36,6 +37,7 @@ from orliczval.norms import (
     norm_report,
     orlicz_norm,
 )
+from orliczval.numerics import solve_monotone
 from orliczval.polytopes import Polytope, polygon_weighted_measure
 from orliczval.regions import Annulus, AxisBox, OriginBall, Region
 from orliczval.young import DensityYoung, ExpYoung, LogYoung, PowerYoung
@@ -434,3 +436,51 @@ def test_grid_norms_match_simple_on_aligned_grid():
                         rel_tol=1e-9)
     assert math.isclose(orlicz_norm(phi, grid), orlicz_norm(phi, f),
                         rel_tol=1e-9)
+
+
+# -- the norms see one atom per distinct value -----------------------------
+
+def test_a_grid_with_two_values_has_two_atoms():
+    grid = GridFunction([-1.0, 0.5], [2.0, 1.5], np.array([[1.5, 0.0, -1.5], [1.5, 4.0, 0.0]]))
+    vals, mus = _atoms(grid, 1e-9)
+    cells, _ = grid.cell_weighted_measures()
+    flat = np.abs(grid.flat_values())
+    assert vals.tolist() == [1.5, 4.0]
+    assert np.allclose(mus, [cells[flat == 1.5].sum(), cells[flat == 4.0].sum()],
+                       rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("phi", [PowerYoung(2.5), ExpYoung(1.3, 0.7)], ids=["power", "exp"])
+def test_grouped_norms_match_the_ungrouped_roots(phi):
+    rng = np.random.default_rng(31)
+    values = rng.choice([0.2, 0.5, -0.8, 1.0, 2.0, -3.5, 6.0], 1000)
+    h = _shells(values, 10.0 ** rng.uniform(-5.0, -3.0, 1000))
+    assert len(_atoms(h, 1e-9)[0]) == 7
+    per_term = 1e-9 / len(h.terms)
+    vals = np.abs(values)
+    mus = np.array([r.weighted_measure(per_term).value for _, r in h.terms])
+
+    def ungrouped(f, t):  # sum_i mu_i f(t v_i) for each t; an overflow counts as inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = np.array([mus * f(s * vals) for s in np.atleast_1d(t)])
+        return np.where(np.isnan(y), np.inf, y).sum(axis=1)
+
+    u = solve_monotone(lambda u: ungrouped(phi.eval, u), 1.0, hi=1.0 / vals.max(), rel_tol=1e-15)
+    assert math.isclose(luxemburg_norm(phi, h, rel_tol=1e-15), 1.0 / u, rel_tol=1e-12)
+    k = solve_monotone(lambda k: ungrouped(lambda t: t * phi.density(t) - phi.eval(t), k),
+                       1.0, hi=1.0 / vals.max(), rel_tol=1e-15)
+    want = (1.0 + float(ungrouped(phi.eval, k)[0])) / k
+    assert math.isclose(orlicz_norm(phi, h, rel_tol=1e-15), want, rel_tol=1e-12)
+
+
+def test_norm_report_reads_one_set_of_atoms():
+    phi = ExpYoung(1.0, 2.0)
+    h = _shells([1.0, -2.0, 1.0, 3.0, -2.0], [0.1, 0.2, 0.05, 0.01, 0.3])
+    rep = norm_report(phi, h)
+    assert set(rep) == {"luxemburg", "orlicz", "ratio", "equivalence_ok",
+                        "modular_at_luxemburg"}
+    assert rep["luxemburg"] == luxemburg_norm(phi, h)
+    assert rep["orlicz"] == orlicz_norm(phi, h)
+    assert rep["ratio"] == rep["orlicz"] / rep["luxemburg"] and rep["equivalence_ok"]
+    assert rep["modular_at_luxemburg"] == modular(phi, h.scale(1.0 / rep["luxemburg"]))
+    assert math.isclose(rep["modular_at_luxemburg"], 1.0, rel_tol=1e-9)

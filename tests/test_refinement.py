@@ -12,7 +12,13 @@ import math
 import numpy as np
 import pytest
 
-from orliczval.functions import SimpleFunction, lattice_max_min, refine
+from orliczval.functions import (
+    SimpleFunction,
+    difference,
+    lattice_max_min,
+    positive_negative_parts,
+    refine,
+)
 from orliczval.polytopes import Polytope
 from orliczval.regions import (
     Annulus,
@@ -23,6 +29,7 @@ from orliczval.regions import (
     symmetric_difference,
     weighted_measure,
 )
+from orliczval.valuations import PolynomialComposer, identity_composer, psi
 
 _VALUES = (1.0, -2.5, 0.75, 3.0)
 
@@ -238,3 +245,92 @@ def test_adjacent_radial_intervals_measure_as_their_union(dim):
         assert math.isclose(lebesgue(d), lebesgue(whole), rel_tol=1e-15)
         assert math.isclose(weighted_measure(d).value, weighted_measure(whole).value,
                             rel_tol=1e-15)
+
+
+# -- lattice results carry one term per distinct value ---------------------
+
+def _disjoint_polygon_side(rng, k):
+    # one convex part per slot [1.5 j, 1.5 j + 1.5) x [0, 1.5): disjoint
+    # within a side, and both sides share the slots, so they overlap
+    parts = []
+    for j in range(k):
+        corner = np.array([1.5 * j, 0.0])
+        if rng.random() < 0.4:
+            lo, hi = np.sort(rng.uniform(0.0, 1.5, (2, 2)), axis=0)
+            parts.append(AxisBox(corner + lo, corner + hi))
+        else:
+            center = corner + rng.uniform(0.5, 1.0, 2)
+            parts.append(Polytope(center + rng.uniform(-0.5, 0.5, (int(rng.integers(3, 7)), 2))))
+    return parts
+
+
+def _function_pairs():
+    rng = np.random.default_rng(21)
+    for algebra in ("radial", "box", "polygon"):
+        for _ in range(25):
+            kf, kg = (int(k) for k in rng.integers(0, 5, 2))
+            if algebra == "radial":
+                dim = int(rng.integers(2, 4))
+                fp, gp = _radial_side(rng, dim, kf), _radial_side(rng, dim, kg)
+            elif algebra == "box":
+                dim = int(rng.integers(2, 4))
+                fp, gp = _box_side(rng, dim, kf), _box_side(rng, dim, kg)
+            else:
+                dim = 2
+                fp, gp = _disjoint_polygon_side(rng, kf), _disjoint_polygon_side(rng, kg)
+            yield algebra, _function(rng, dim, fp), _function(rng, dim, gp)
+
+
+def _lattice_results(f, g):
+    """Each grouped result of (f, g) with its pointwise rule and value per cell."""
+    top, bottom = lattice_max_min(f, g)
+    pos, neg = positive_negative_parts(f)
+    zero = SimpleFunction.zero(f.dim)
+    return [(top, f, g, np.maximum), (bottom, f, g, np.minimum),
+            (difference(f, g), f, g, np.subtract),
+            (pos, f, zero, np.maximum), (neg, f, zero, np.minimum)]
+
+
+def test_lattice_results_have_one_term_per_distinct_value():
+    seen = set()
+    for algebra, f, g in _function_pairs():
+        for h, left, right, rule in _lattice_results(f, g):
+            values = [v for v, _ in h.terms]
+            cells = refine(left, right).cells
+            want = list(dict.fromkeys(float(rule(a, b)) for _, a, b in cells))
+            assert values == [v for v in want if v != 0.0], algebra
+        seen.add(algebra)
+    assert seen == {"radial", "box", "polygon"}
+
+
+def test_lattice_results_evaluate_as_the_pointwise_rule():
+    rng = np.random.default_rng(22)
+    for algebra, f, g in _function_pairs():
+        lo, hi = {"radial": (-3.5, 3.5), "box": (-0.5, 3.5),
+                  "polygon": ([-0.5, -0.5], [6.5, 2.0])}[algebra]
+        pts = rng.uniform(lo, hi, (300, f.dim))
+        for h, left, right, rule in _lattice_results(f, g):
+            want = rule(left.evaluate(pts), right.evaluate(pts))
+            assert np.array_equal(h.evaluate(pts), want), algebra
+
+
+def test_lattice_results_measure_as_their_cells():
+    xi = PolynomialComposer([0.5, -1.0, 0.25])
+    for algebra, f, g in _function_pairs():
+        for h, left, right, rule in _lattice_results(f, g):
+            per_cell = SimpleFunction(f.dim, [(float(rule(a, b)), Region([part]))
+                                              for part, a, b in refine(left, right).cells])
+            assert len(per_cell.terms) >= len(h.terms)
+            want = sum(r.lebesgue() for _, r in per_cell.terms)
+            got = sum(r.lebesgue() for _, r in h.terms)
+            assert math.isclose(got, want, rel_tol=1e-12), algebra
+            # psi term by term over the cells, as a loop
+            want = sum((xi(v) * r.moment() for v, r in per_cell.terms), np.zeros(f.dim))
+            scale = sum(abs(xi(v)) * np.max(np.abs(r.moment())) for v, r in per_cell.terms)
+            assert np.allclose(psi(xi, h), want, rtol=0, atol=1e-12 * scale), algebra
+
+
+def test_psi_of_the_zero_function_is_the_zero_vector():
+    for dim in (2, 3, 4):
+        got = psi(identity_composer(), SimpleFunction.zero(dim))
+        assert got.shape == (dim,) and not got.any()

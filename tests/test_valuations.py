@@ -6,6 +6,7 @@ the truncation tails, and independent recomputation of every ball
 construction equation from the returned plan data.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -349,6 +350,20 @@ def test_divergence_plan_equations():
         ratio = c / (c + r)
         assert ratio > 0.8 and ratio >= prev_ratio
         prev_c, prev_ratio = c, ratio
+
+
+def test_divergence_plan_names_the_first_failing_witness():
+    phi = PowerYoung(2.0)
+    xi = PolynomialComposer([0.0, 0.0, 0.0, 1.0])
+    plan = build_divergence_plan(xi, phi, 12, dim=2)
+    betas = list(plan.betas)
+    # beta <= 1 gives xi = beta**4 below 2**i * phi = 2**(i - 1) * beta**2 from i = 2 on
+    betas[5], betas[8] = 1.0, 0.5
+    with pytest.raises(ConstructionError, match=r"^witness fails at beta = 1\.0$"):
+        dataclasses.replace(plan, betas=tuple(betas)).validate()
+    betas[3] = -0.25
+    with pytest.raises(ConstructionError, match=r"^witness fails at beta = -0\.25$"):
+        dataclasses.replace(plan, betas=tuple(betas)).validate()
 
 
 def test_divergent_truncation_tables():
