@@ -32,7 +32,7 @@ class DisjointnessError(OrliczvalError, ValueError):
 class CapabilityError(OrliczvalError, NotImplementedError):
     """An exact algorithm is not available for this combination of inputs.
 
-    The message names the estimation fallback to use instead.
+    Where an estimation fallback exists, the message names it.
     """
 
 

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import CapabilityError, DomainError
 from .polytopes import rectangle_weighted_measures
 # part_contains stays bound here: bench/tests checks that tracing wraps it here too
-from .regions import Region, _box_hull, part_contains, refinement_cells  # noqa: F401
+from .regions import (Region, _box_hull, _check_disjoint, part_contains,  # noqa: F401
+                      refinement_cells)
 
 
 class SimpleFunction:
@@ -70,9 +71,8 @@ class SimpleFunction:
     def support_box(self):
         return _box_hull([r.bounding_box() for _, r in self.terms], self.dim)
 
-    def check_disjoint(self, rng=None, samples=4000):
-        parts = [p for _, r in self.terms for p in r.parts]
-        return Region(parts, dim=self.dim).check_disjoint(rng, samples)
+    def check_disjoint(self):
+        return _check_disjoint([r for _, r in self.terms])
 
     def to_json(self):
         return {"dim": self.dim,

@@ -30,6 +30,8 @@ from .errors import (
     DomainError,
 )
 from .facets import (
+    _nearest_in_triangles,
+    _nearest_on_edges,
     ball_weighted_measure,
     box_weighted_measure,
     hull_weighted_measure,
@@ -285,8 +287,7 @@ class Region:
     """Finite disjoint union of primitive parts in a fixed dimension.
 
     Disjointness is asserted by the constructor's contract, not
-    enforced; ``check_disjoint`` verifies it exactly where the part
-    pairing allows and by collision sampling otherwise.
+    enforced; ``check_disjoint`` decides it exactly, pair by pair.
 
     The axis boxes are stacked once into ``(lo, hi)`` arrays, which
     volume, moment, bounding box and the 2D weighted measure (by
@@ -398,12 +399,9 @@ class Region:
         bounds = [part_bounding_box(p) for p in rest]
         return _box_hull(bounds + [boxes] if boxes else bounds, self.dim)
 
-    def check_disjoint(self, rng=None, samples=4000):
-        """Raise DisjointnessError when two parts demonstrably overlap."""
-        for i in range(len(self.parts)):
-            for j in range(i + 1, len(self.parts)):
-                _check_pair_disjoint(self.parts[i], self.parts[j], rng, samples)
-        return True
+    def check_disjoint(self):
+        """Raise DisjointnessError when two parts share positive volume (``_overlap``)."""
+        return _check_disjoint([self])
 
     def to_json(self):
         return {"dim": self.dim, "parts": [part_to_json(p) for p in self.parts]}
@@ -438,41 +436,115 @@ def _as_polygon(part):
     return None
 
 
-def _check_pair_disjoint(a, b, rng, samples):
-    if isinstance(a, _RADIAL) and isinstance(b, _RADIAL):
-        lo_a, hi_a = radial_interval(a)
-        lo_b, hi_b = radial_interval(b)
-        if lo_a < hi_b and lo_b < hi_a:
-            raise DisjointnessError(f"radial overlap between {a!r} and {b!r}")
-        return
-    balls = (OriginBall, ShiftedBall)
-    if isinstance(a, balls) and isinstance(b, balls):
-        ca = a.center if isinstance(a, ShiftedBall) else np.zeros(a.dim)
-        cb = b.center if isinstance(b, ShiftedBall) else np.zeros(b.dim)
-        if float(np.linalg.norm(ca - cb)) < a.radius + b.radius:
-            raise DisjointnessError(f"ball overlap between {a!r} and {b!r}")
-        return
+def _distance(part, p):
+    # distance from the point p to a shifted ball, a box or a full-rank 2D or 3D polytope
+    if isinstance(part, ShiftedBall):
+        return max(float(np.linalg.norm(p - part.center)) - part.radius, 0.0)
+    if isinstance(part, AxisBox):
+        return float(np.linalg.norm(p - np.clip(p, part.lo, part.hi)))
+    if part.contains(p):
+        return 0.0
+    v = part.vertices
+    near = (_nearest_on_edges(v[None], p[None])[0] if part.dim == 2 else
+            _nearest_in_triangles(v[part.facets], np.tile(p, (len(part.facets), 1))))
+    return float(np.linalg.norm(near - p, axis=1).min())
+
+
+def _faces(part):
+    # vertices, face normals and edge directions of a box or a full-rank 2D or 3D polytope
+    if isinstance(part, AxisBox):
+        eye = np.eye(part.dim)
+        return np.stack(np.meshgrid(*zip(part.lo, part.hi)), -1).reshape(-1, part.dim), eye, eye
+    v = part.vertices
+    if part.dim == 2:
+        d = np.roll(v, -1, axis=0) - v
+        return v, d @ np.array([[0.0, -1.0], [1.0, 0.0]]), d
+    ends = np.unique(np.sort(np.stack([part.facets, np.roll(part.facets, -1, 1)], -1), -1)
+                     .reshape(-1, 2), axis=0)
+    return v, part.equations[:, :3], v[ends[:, 1]] - v[ends[:, 0]]
+
+
+def _radial_range(part):
+    # [least, greatest] |x| over a part
+    if isinstance(part, _RADIAL):
+        return radial_interval(part)
+    far = (abs(part.offset) + part.radius if isinstance(part, ShiftedBall)
+           else float(np.linalg.norm(_faces(part)[0], axis=1).max()))
+    return _distance(part, np.zeros(part.dim)), far
+
+
+def _separated(a, b, tol):
+    # whether a face normal of either part or, in 3D, a cross product of
+    # their edges separates them; axes go in chunks that bound the projections
+    (va, na, ea), (vb, nb, eb) = _faces(a), _faces(b)
+    normals = np.vstack([na, nb])
+    count = len(normals) + (len(ea) * len(eb) if a.dim == 3 else 0)
+    step = max(1, _CHUNK_PAIRS // (len(va) + len(vb)))
+    for k in range(0, count, step):
+        i = np.arange(k, min(k + step, count)) - len(normals)
+        axes, i = normals[i[i < 0]], i[i >= 0]
+        if len(i):
+            axes = np.vstack([axes, np.cross(ea[i // len(eb)], eb[i % len(eb)])])
+        pa, pb, length = va @ axes.T, vb @ axes.T, np.linalg.norm(axes, axis=1)
+        depth = np.minimum(pa.max(axis=0) - pb.min(axis=0), pb.max(axis=0) - pa.min(axis=0))
+        if np.any((depth <= tol * length) & (length > 0.0)):
+            return True
+    return False
+
+
+def _overlap(a, b):
+    """The rule by which parts ``a`` and ``b`` share positive volume, or None.
+
+    Under the pair's tolerance (``_tolerances`` of both bounding boxes),
+    touching parts are disjoint at every scale.  In order: a lower-rank
+    polytope meets nothing; bounding boxes settle the pair, and all box
+    pairs; a radial part compares |x|-ranges; a shifted ball compares
+    its radius with the distance from its centre; boxes and polytopes
+    seek a separating axis, which n >= 4 lacks (``CapabilityError``).
+    """
+    (lo_a, hi_a), (lo_b, hi_b) = part_bounding_box(a), part_bounding_box(b)
+    tol = _tolerances(np.vstack([lo_a, hi_a, lo_b, hi_b]))[0]
+    if (any(isinstance(p, Polytope) and p.rank < p.dim for p in (a, b))
+            or np.any(np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b) <= tol)):
+        return None
+    if a.dim > 3 and any(isinstance(p, Polytope) for p in (a, b)):
+        raise CapabilityError("no exact disjointness test for full-rank polytopes "
+                              "above dimension 3")
+    for p, q in ((a, b), (b, a)):
+        if isinstance(p, _RADIAL):
+            (p0, p1), (q0, q1) = _radial_range(p), _radial_range(q)
+            return "radial" if min(p1, q1) - max(p0, q0) > tol else None
+        if isinstance(p, ShiftedBall) and not isinstance(q, _RADIAL):
+            return "ball" if _distance(q, p.center) < p.radius - tol else None
     if isinstance(a, AxisBox) and isinstance(b, AxisBox):
-        if np.all(np.maximum(a.lo, b.lo) < np.minimum(a.hi, b.hi)):
-            raise DisjointnessError(f"box overlap between {a!r} and {b!r}")
-        return
-    pa, pb = _as_polygon(a), _as_polygon(b)
-    if pa is not None and pb is not None:
-        if split_polygon(pa, pb)[0] is not None:
-            raise DisjointnessError(f"polygon overlap between {a!r} and {b!r}")
-        return
-    _monte_carlo_collision(a, b, rng, samples)
+        return "box"
+    return None if _separated(a, b, tol) else "polytope"
 
 
-def _monte_carlo_collision(a, b, rng, samples):
-    rng = np.random.default_rng(0) if rng is None else rng
-    lo, hi = part_bounding_box(a)
-    pts = lo + (hi - lo) * rng.random((samples, len(lo)))
-    hit = part_contains(a, pts) & part_contains(b, pts)
-    if np.any(hit):
-        witness = pts[np.argmax(hit)]
-        raise DisjointnessError(
-            f"sampled collision between {a!r} and {b!r} at {witness.tolist()}")
+def _check_disjoint(regions):
+    """Raise DisjointnessError when two parts of the regions share positive
+    volume (``_overlap``).  All parts' bounding boxes, box stacks as they
+    are, are swept by ``lo[:, 0]``; only pairs whose boxes overlap are built."""
+    stacks = [r._box_stack() for r in regions]
+    rest = [p for _, parts in stacks for p in parts]
+    bounds = [b for b, _ in stacks if b] + [part_bounding_box(p) for p in rest]
+    if not bounds:
+        return True
+    lo, hi = (np.vstack(x) for x in zip(*bounds))
+    boxes = len(lo) - len(rest)  # the rows before are axis boxes
+
+    def part(k):
+        return AxisBox(lo[k], hi[k]) if k < boxes else rest[k - boxes]
+    order = np.argsort(lo[:, 0], kind="stable")
+    stop = np.searchsorted(lo[order, 0], hi[order, 0])  # the rows that start before each ends
+    for i in np.flatnonzero(stop > np.arange(1, len(lo) + 1)):
+        k, near = order[i], order[i + 1:stop[i]]
+        gap = np.minimum(hi[near], hi[k]) - np.maximum(lo[near], lo[k])
+        for j in near[np.all(gap > 0.0, axis=1)]:
+            rule = _overlap(part(k), part(j))
+            if rule:
+                raise DisjointnessError(f"{rule} overlap between {part(k)!r} and {part(j)!r}")
+    return True
 
 
 def lebesgue(region):
@@ -488,16 +560,24 @@ def moment(region):
     return region.moment()
 
 
+def _sampled(lo, hi, inside, samples, rng):
+    # Monte Carlo (estimate, standard error) of the volume and of the
+    # weighted measure of the set inside(points), from uniform points in [lo, hi)
+    rng = np.random.default_rng(0) if rng is None else rng
+    vol = float(np.prod(hi - lo))
+    pts = lo + (hi - lo) * rng.random((samples, len(lo)))
+    ind = inside(pts)
+    w = np.where(ind, np.sqrt(np.sum(pts * pts, axis=1)), 0.0)
+    return [(vol * float(np.mean(x)), vol * float(np.std(x)) / math.sqrt(samples))
+            for x in (ind.astype(float), w)]
+
+
 def estimate_weighted_measure(region, samples=200_000, rng=None):
     """Monte Carlo fallback: returns (estimate, standard error)."""
-    rng = np.random.default_rng(0) if rng is None else rng
     lo, hi = region.bounding_box()
-    vol = float(np.prod(hi - lo))
-    if vol == 0.0:
+    if float(np.prod(hi - lo)) == 0.0:
         return 0.0, 0.0
-    pts = lo + (hi - lo) * rng.random((samples, region.dim))
-    w = np.where(region.contains(pts), np.sqrt(np.sum(pts * pts, axis=1)), 0.0)
-    return vol * float(np.mean(w)), vol * float(np.std(w)) / math.sqrt(samples)
+    return _sampled(lo, hi, region.contains, samples, rng)[1]
 
 
 # -- common refinement -----------------------------------------------------
@@ -603,19 +683,11 @@ def estimate_symmetric_difference(r1, r2, samples=200_000, rng=None):
 
     Returns a dict with both estimates and their standard errors.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     lo, hi = _box_hull([r1.bounding_box(), r2.bounding_box()], r1.dim)
-    vol = float(np.prod(hi - lo))
-    pts = lo + (hi - lo) * rng.random((samples, r1.dim))
-    inside = r1.contains(pts) != r2.contains(pts)
-    w = np.where(inside, np.sqrt(np.sum(pts * pts, axis=1)), 0.0)
-    ind = inside.astype(float)
-    return {
-        "lebesgue": vol * float(np.mean(ind)),
-        "lebesgue_stderr": vol * float(np.std(ind)) / math.sqrt(samples),
-        "weighted": vol * float(np.mean(w)),
-        "weighted_stderr": vol * float(np.std(w)) / math.sqrt(samples),
-    }
+    (lam, lam_err), (mu, mu_err) = _sampled(
+        lo, hi, lambda pts: r1.contains(pts) != r2.contains(pts), samples, rng)
+    return {"lebesgue": lam, "lebesgue_stderr": lam_err,
+            "weighted": mu, "weighted_stderr": mu_err}
 
 
 # -- dyadic cube covers ----------------------------------------------------

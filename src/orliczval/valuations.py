@@ -22,7 +22,7 @@ from .errors import (
     WitnessNotFoundError,
 )
 from .functions import GridFunction, SimpleFunction, lattice_max_min
-from .norms import modular, orlicz_norm
+from .norms import orlicz_norm
 from .numerics import solve_monotone
 from .polytopes import Polytope
 from .regions import (
@@ -445,21 +445,23 @@ def _ball_ledger(plan, J, ball_tol):
 
     Returns the balls as one-part regions and one row per ball, all
     numbers Python floats: the ball's Lebesgue and weighted measure
-    (``mu``, to ``ball_tol``), its first moment term and the ratio
-    c_j / (c_j + r_j), and the running sums of the moment terms, of the
-    ratios (the lower bound), of the modular terms phi(|beta_j|) mu_j
-    and of their caps 2**-i_j.  The only code that tabulates the family.
+    (``mu``, to ``ball_tol``, a float or one per ball), its first moment
+    term and the ratio c_j / (c_j + r_j), and the running sums of the
+    moment terms, of the ratios (the lower bound), of the modular terms
+    phi(|beta_j|) mu_j and of their caps 2**-i_j.  The only code that
+    tabulates the family.
     """
     omega = unit_ball_volume(plan.dim)
     regions = [Region([plan.ball(j)]) for j in range(J)]
     xis = np.asarray(plan.xi(np.array(plan.betas[:J]))).tolist()
     gauges = np.asarray(plan.phi.eval(np.abs(plan.betas[:J]))).tolist()
+    tols = np.broadcast_to(np.asarray(ball_tol, float), (J,)).tolist()
     rows = []
     moment = lower = mod = cap = 0.0
     for j in range(J):
         beta, c, r = plan.betas[j], plan.centers[j], plan.radii[j]
         lam = omega * r ** plan.dim
-        mu = float(regions[j].weighted_measure(ball_tol).value)
+        mu = float(regions[j].weighted_measure(tols[j]).value)
         term = xis[j] * c * lam
         ratio = c / (c + r)
         moment += term
@@ -482,19 +484,20 @@ def divergent_truncation(plan, J, abs_tol=1e-6):
     first moment coordinate with its per-term lower bounds
     c_j / (c_j + r_j), with the ball ledger as the row table.  The
     modular tolerance is coarse because the only claim made about the
-    modular is its distance to the closed-form cap; it is split over
-    the balls, and a tolerance down to about 1e-12 can still be met.
-    The ledger measures each ball to that share, which is what
-    ``modular`` asks of each term, so the modular reads those measures.
+    modular is its distance to the closed-form cap.  Ball j is measured
+    to ``abs_tol / (J phi(|beta_j|))``, so the modular, read from the
+    ledger, is within ``abs_tol`` even where far balls put an equal
+    share of ``abs_tol`` out of reach.
     """
     if not 1 <= J <= len(plan):
         raise DomainError(f"J must lie in [1, {len(plan)}]")
-    regions, rows = _ball_ledger(plan, J, abs_tol / J)
+    gauges = np.asarray(plan.phi.eval(np.abs(plan.betas[:J])), float)
+    regions, rows = _ball_ledger(plan, J, abs_tol / (J * gauges))
     h = SimpleFunction(plan.dim, zip(plan.betas, regions))
     h.check_disjoint()
     return {
         "h": h,
-        "modular": modular(plan.phi, h, abs_tol=abs_tol),
+        "modular": rows[-1]["modular_prefix"],
         "modular_bound": rows[-1]["modular_cap"],
         "first_moment": float(psi(plan.xi, h)[0]),
         "lower_bound": rows[-1]["running_lower_bound"],

@@ -257,6 +257,17 @@ def test_cli_counterexample_small(capsys):
     assert len(doc["rows"]) == 3
 
 
+def test_cli_counterexample_with_far_balls(capsys):
+    # witnesses near 0 put the balls at c ~ 4e11: each ball is asked for its
+    # share of the modular, abs_tol / (J phi(|beta_j|)), which is within reach
+    rc, out, _ = run_cli(capsys, "counterexample", "--phi", "exp",
+                         "--xi", "poly:0.3,-1,0.5,0.25,1", "--J", "3")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["modular"] <= doc["modular_bound"] <= 1.0
+    assert doc["modular"] == pytest.approx(doc["modular_bound"], abs=1e-6)
+
+
 def test_cli_verify_lemma8_green(capsys):
     rc, out, _ = run_cli(capsys, "verify", "lemma8")
     assert rc == 0
@@ -363,6 +374,36 @@ def test_cli_rejects_overlapping_simple_input(capsys):
     rc, out, _ = run_cli(capsys, "norm", "--phi", "power:2", "--simple", once)
     assert rc == 0 and json.loads(out)["luxemburg"] == pytest.approx(0.6185, abs=1e-4)
 
+
+def _simple(dim, *parts):
+    return json.dumps({"dim": dim, "terms": [
+        {"value": float(k + 1), "region": {"dim": dim, "parts": [part]}}
+        for k, part in enumerate(parts)]})
+
+
+def test_cli_rejects_thin_overlaps_in_simple_input(capsys):
+    c = 1.01 / math.sqrt(2.0)
+    tetra = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    probes = {
+        "radial": ({"kind": "annulus", "dim": 2, "inner": 1.0, "outer": 2.0},
+                   {"kind": "axis_box", "lo": [0.0, 0.0], "hi": [c, c]}),
+        "ball": ({"kind": "shifted_ball", "dim": 2, "radius": 1.0, "offset": 3.0},
+                 {"kind": "axis_box", "lo": [2.5, 0.999], "hi": [3.5, 2.0]}),
+        "ball 3d": ({"kind": "shifted_ball", "dim": 3, "radius": 1.0, "offset": 3.0},
+                    {"kind": "axis_box", "lo": [3.999, -0.5, -0.5], "hi": [5.0, 0.5, 0.5]}),
+        "polytope": ({"kind": "polytope", "vertices": tetra},
+                     {"kind": "axis_box", "lo": [0.99, -1.0, -1.0], "hi": [2.0, 1.0, 1.0]}),
+    }
+    for name, parts in probes.items():
+        simple = _simple(len(parts[1]["lo"]), *parts)
+        rc, out, err = run_cli(capsys, "norm", "--phi", "power:2", "--simple", simple)
+        assert rc == 2 and out == ""
+        assert f"{name.split()[0]} overlap between" in err
+    simplex = {"kind": "polytope", "vertices": np.vstack([np.zeros(4), np.eye(4)]).tolist()}
+    box = {"kind": "axis_box", "lo": [0.1] * 4, "hi": [2.0] * 4}
+    rc, out, err = run_cli(capsys, "psi", "--xi", "identity", "--simple", _simple(4, simplex, box))
+    assert rc == 2 and out == ""
+    assert "no exact disjointness test for full-rank polytopes above dimension 3" in err
 
 def test_cli_module_entry_point():
     proc = subprocess.run(

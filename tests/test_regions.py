@@ -203,7 +203,7 @@ def test_disjoint_check_boxes_and_balls():
     assert far.check_disjoint()
 
 
-def test_disjoint_check_polygons_and_sampling():
+def test_disjoint_check_polygons_and_mixed_pairs():
     with pytest.raises(DisjointnessError):
         Region([
             Polytope([[0, 0], [1, 0], [0, 1]]),
@@ -211,9 +211,184 @@ def test_disjoint_check_polygons_and_sampling():
         ]).check_disjoint()
     mixed_bad = Region([Annulus(2, 0.0, 1.0), AxisBox([0.2, 0.2], [0.8, 0.8])])
     with pytest.raises(DisjointnessError):
-        mixed_bad.check_disjoint(rng=np.random.default_rng(1))
+        mixed_bad.check_disjoint()
     mixed_ok = Region([Annulus(2, 0.0, 1.0), AxisBox([2.0, 2.0], [3.0, 3.0])])
-    assert mixed_ok.check_disjoint(rng=np.random.default_rng(1))
+    assert mixed_ok.check_disjoint()
+
+
+_TETRA = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def _probes():
+    # overlaps of depth 1e-2 in |x|, 1e-3 into a ball and 1e-2 into a tetrahedron
+    c = 1.01 / math.sqrt(2.0)
+    return {
+        "radial": [Annulus(2, 1.0, 2.0), AxisBox([0.0, 0.0], [c, c])],
+        "ball": [ShiftedBall(2, 1.0, 3.0), AxisBox([2.5, 0.999], [3.5, 2.0])],
+        "ball 3d": [ShiftedBall(3, 1.0, 3.0), AxisBox([3.999, -0.5, -0.5], [5.0, 0.5, 0.5])],
+        "polytope": [Polytope(_TETRA), AxisBox([0.99, -1.0, -1.0], [2.0, 1.0, 1.0])],
+    }
+
+
+@pytest.mark.parametrize("name", ["radial", "ball", "ball 3d", "polytope"])
+def test_disjoint_check_rejects_thin_overlaps(name):
+    rule = name.split()[0]
+    with pytest.raises(DisjointnessError, match=f"^{rule} overlap between"):
+        Region(_probes()[name]).check_disjoint()
+    a, b = _probes()[name]
+    f = SimpleFunction(a.dim, [(1.0, Region([a])), (2.0, Region([b]))])
+    with pytest.raises(DisjointnessError, match=f"^{rule} overlap between"):
+        f.check_disjoint()
+
+
+def _skew_tetrahedra():
+    # two tetrahedra meeting at one point of two skew edges, turned so that
+    # neither a coordinate axis nor a face normal separates them
+    c, s = math.cos(0.7), math.sin(0.7)
+    turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ np.array(
+        [[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    below = [[-1, 0, 0], [1, 0, 0], [0, -1, -1], [0, 1, -1]]
+    above = [[0, -1, 0], [0, 1, 0], [-1, 0, 1], [1, 0, 1]]
+    return Polytope(np.array(below) @ turn.T), Polytope(np.array(above) @ turn.T)
+
+
+# pairs that share a face, an edge or a point and whose bounding boxes
+# overlap, so that each rule decides them (box pairs have no other rule)
+_TOUCHING = {
+    "radial": [
+        (OriginBall(2, 1.0), Annulus(2, 1.0, 2.0)),
+        (Annulus(2, 1.0, 5.0), AxisBox([3.0, 4.0], [6.0, 6.0])),
+        (AxisBox([0.0, 0.0], [3.0, 4.0]), Annulus(2, 5.0, 6.0)),
+        (OriginBall(2, 5.0), Polytope([[3, 4], [7, 1], [7, 5]])),
+        (OriginBall(3, 5.0), Polytope([[3, 4, 0], [7, 1, 0], [7, 5, 0], [5, 5, 3]])),
+        (ShiftedBall(3, 1.0, 3.0), Annulus(3, 4.0, 6.0)),
+    ],
+    "ball": [
+        (ShiftedBall(2, 1.0, 0.0), ShiftedBall(2, 1.0, 2.0)),
+        (ShiftedBall(2, 5.0, 3.0), AxisBox([6.0, 4.0], [8.0, 6.0])),
+        (ShiftedBall(2, 5.0, 3.0), Polytope([[2, 7], [10, 1], [10, 7]])),
+        (ShiftedBall(3, 5.0, 3.0), Polytope([[10, 1, 0], [2, 7, 0], [10, 7, 3], [10, 7, -3]])),
+        (ShiftedBall(3, 5.0, -3.0), AxisBox([0.0, 4.0, -1.0], [2.0, 6.0, 1.0])),
+    ],
+    "box": [
+        (AxisBox([0.0, 0.0], [1.0, 1.0]), AxisBox([1.0, 0.0], [2.0, 1.0])),
+        (AxisBox([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), AxisBox([0.5, 1.0, 0.0], [2.0, 2.0, 1.0])),
+        (AxisBox([0.0] * 4, [1.0] * 4), AxisBox([1.0, 0.0, 0.0, 0.0], [2.0] * 4)),
+    ],
+    "polytope": [
+        (Polytope([[0, 0], [1, 0], [0, 1]]), Polytope([[1, 0], [0, 1], [1, 1]])),
+        (AxisBox([1.0, 1.0], [2.0, 2.0]), Polytope([[0, 0], [2, 0], [0, 2]])),
+        (Polytope(_TETRA), Polytope([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])),
+        (AxisBox([-1.0, -1.0, -1.0], [0.5, 0.25, 0.25]),
+         Polytope([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])),
+        _skew_tetrahedra(),
+    ],
+}
+
+
+def _scaled(part, s):
+    if isinstance(part, OriginBall):
+        return OriginBall(part.dim, s * part.radius)
+    if isinstance(part, Annulus):
+        return Annulus(part.dim, s * part.inner, s * part.outer)
+    if isinstance(part, ShiftedBall):
+        return ShiftedBall(part.dim, s * part.radius, s * part.offset)
+    if isinstance(part, AxisBox):
+        return AxisBox(s * part.lo, s * part.hi)
+    return Polytope(s * part.vertices)
+
+
+def _nudged(a, b, depth):
+    # b moved towards a by depth times the pair's size (an annulus b shrunk
+    # by 1 - depth), so the two overlap
+    if isinstance(b, Annulus):
+        return _scaled(b, 1.0 - depth)
+    centre = [p.vertices.mean(axis=0) if isinstance(p, Polytope)
+              else np.mean(part_bounding_box(p), axis=0) for p in (a, b)]
+    shift = centre[0] - centre[1]
+    lo, hi = np.array([part_bounding_box(a), part_bounding_box(b)]).transpose(1, 0, 2)
+    step = depth * float(np.max(hi.max(axis=0) - lo.min(axis=0))) * shift / np.linalg.norm(shift)
+    if isinstance(b, AxisBox):
+        return AxisBox(b.lo + step, b.hi + step)
+    if isinstance(b, Polytope):
+        return Polytope(b.vertices + step)
+    return ShiftedBall(b.dim, b.radius, b.offset + step[0])
+
+
+@pytest.mark.parametrize("rule", sorted(_TOUCHING))
+def test_disjoint_check_accepts_touching_pairs_at_every_scale(rule):
+    for a, b in _TOUCHING[rule]:
+        lo, hi = np.array([part_bounding_box(a), part_bounding_box(b)]).transpose(1, 0, 2)
+        assert np.all(hi.min(axis=0) > lo.max(axis=0)) or rule == "box" or (
+            isinstance(a, ShiftedBall) and isinstance(b, ShiftedBall))
+        for k in range(-40, 41):
+            s = 2.0 ** k
+            assert Region([_scaled(a, s), _scaled(b, s)]).check_disjoint()
+        with pytest.raises(DisjointnessError, match=f"^{rule} overlap between"):
+            Region([a, _nudged(a, b, 1e-6)]).check_disjoint()
+
+
+def test_disjoint_check_rejects_nested_parts():
+    tri = Polytope([[-1, -1], [3, -1], [-1, 3]])
+    tet = Polytope([[-1, -1, -1], [3, -1, -1], [-1, 3, -1], [-1, -1, 3]])
+    for inner, outer in ((ShiftedBall(2, 0.1, 0.5), tri), (OriginBall(2, 0.1), tri),
+                         (AxisBox([0.0, 0.0], [0.1, 0.1]), tri),
+                         (ShiftedBall(3, 0.1, 0.5), tet), (Annulus(3, 0.1, 0.2), tet),
+                         (ShiftedBall(2, 0.1, 0.5), OriginBall(2, 1.0))):
+        with pytest.raises(DisjointnessError):
+            Region([outer, inner]).check_disjoint()
+
+
+def test_disjoint_check_skips_parts_without_volume():
+    flat = Polytope([[0, 0, 0], [2, 0, 0], [0, 2, 0]])
+    assert Region([flat, AxisBox([0.0, 0.0, -1.0], [1.0, 1.0, 1.0])]).check_disjoint()
+    assert Region([ShiftedBall(2, 0.0, 0.5), OriginBall(2, 1.0)]).check_disjoint()
+
+
+def test_disjoint_sweep_matches_the_pairwise_loop():
+    # integer boxes touch often; the verdict must be the all-pairs loop's
+    from orliczval.regions import _overlap
+    rng = np.random.default_rng(17)
+    verdicts = set()
+    for _ in range(60):
+        lo = rng.integers(0, 10, (6, 2)).astype(float)
+        hi = lo + rng.integers(1, 4, (6, 2))
+        parts = [AxisBox(l, h) for l, h in zip(lo, hi)] + [ShiftedBall(2, 1.5, 20.0 * rng.random())]
+        loop = any(_overlap(a, b) for i, a in enumerate(parts) for b in parts[i + 1:])
+        try:
+            Region(parts).check_disjoint()
+            swept = False
+        except DisjointnessError:
+            swept = True
+        assert swept == loop
+        verdicts.add(loop)
+    assert verdicts == {True, False}
+
+
+def test_disjoint_check_above_dimension_three():
+    simplex = Polytope(np.vstack([np.zeros(4), np.eye(4)]))
+    with pytest.raises(CapabilityError, match="above dimension 3"):
+        Region([simplex, AxisBox([0.1] * 4, [2.0] * 4)]).check_disjoint()
+    # bounding boxes apart settle the pair, and boxes and balls need no polytope test
+    assert Region([simplex, AxisBox([1.0] + [0.0] * 3, [2.0] * 4)]).check_disjoint()
+    assert Region([OriginBall(4, 1.0), AxisBox([1.0] + [0.0] * 3, [2.0] * 4),
+                   ShiftedBall(4, 1.0, -2.0)]).check_disjoint()
+
+
+def test_disjoint_check_sweeps_box_stacks():
+    cover = cube_cover(Polytope([[0, 0], [1, 0], [0, 1]]), 12)
+    assert len(cover) > 4000 and cover.check_disjoint()
+    assert cover._parts is None  # no AxisBox was built
+    lo, hi = cover._box_stack()[0]
+    planted = Region.from_boxes(np.vstack([lo, lo[2000] + 0.25 * (hi[2000] - lo[2000])]),
+                                np.vstack([hi, hi[2000]]))
+    with pytest.raises(DisjointnessError, match="^box overlap between"):
+        planted.check_disjoint()
+    f = SimpleFunction(2, [(1.0, cover), (2.0, Region([ShiftedBall(2, 0.25, 1.0)]))])
+    with pytest.raises(DisjointnessError, match="^ball overlap between"):
+        f.check_disjoint()
+    g = SimpleFunction(2, [(1.0, cover), (2.0, Region([ShiftedBall(2, 0.25, 1.5)]))])
+    assert g.check_disjoint()
 
 
 # -- symmetric differences -------------------------------------------------
@@ -245,7 +420,7 @@ def test_symdiff_polygons():
     b = Region([Polytope([[0.5, 0.5], [1.5, 0.5], [1.5, 1.5], [0.5, 1.5]])])
     d = symmetric_difference(a, b)
     assert abs(lebesgue(d) - 1.5) < 1e-9
-    assert d.check_disjoint(rng=np.random.default_rng(4))
+    assert d.check_disjoint()
 
 
 def test_symdiff_capability_error_names_fallback():
@@ -266,6 +441,21 @@ def test_estimate_weighted_measure_against_exact():
                                          rng=np.random.default_rng(12))
     exact = weighted_measure(region).value
     assert abs(est - exact) < 4.0 * err
+
+
+def test_monte_carlo_estimates_draw_the_same_points():
+    # both estimators draw samples uniform points in the bounding box from rng
+    pts = 1.0 + np.random.default_rng(5).random((1000, 2))
+    w = np.sqrt(np.sum(pts * pts, axis=1))
+    est, err = estimate_weighted_measure(Region([AxisBox([1, 1], [2, 2])]), 1000,
+                                         np.random.default_rng(5))
+    assert (est, err) == (float(np.mean(w)), float(np.std(w)) / math.sqrt(1000))
+    left = pts[:, 0] < 1.5
+    sd = estimate_symmetric_difference(Region([AxisBox([1, 1], [2, 2])]),
+                                       Region([AxisBox([1.5, 1.0], [2.0, 2.0])]), 1000,
+                                       np.random.default_rng(5))
+    assert sd["lebesgue"] == float(np.mean(left.astype(float)))
+    assert sd["weighted"] == float(np.mean(np.where(left, w, 0.0)))
 
 
 def test_polytope_3d_weighted_measure_matches_box_and_monte_carlo():
