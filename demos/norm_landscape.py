@@ -24,7 +24,7 @@ mu = disk.weighted_measure().value
 
 print("=== the three numbers for 3 * indicator(unit disk), phi = t^2/2 ===")
 print(f"modular   = {modular(phi, h):.12f}  (exact 9*mu/2 = {4.5 * mu:.12f})")
-print(f"luxemburg = {luxemburg_norm(phi, h):.12f}  "
+print(f"luxemburg = {luxemburg_norm(phi, h, rel_tol=1e-12):.12f}  "
       f"(exact 3*sqrt(mu/2) = {3 * math.sqrt(mu / 2):.12f})")
 print(f"orlicz    = {orlicz_norm(phi, h):.12f}  "
       f"(exact 3*sqrt(2*mu) = {3 * math.sqrt(2 * mu):.12f})")

@@ -21,6 +21,11 @@ from .numerics import solve_monotone
 from .regions import Region
 
 
+# elements of one points x atoms block in a norm solve's vector call: the
+# call's temporaries stay a small multiple of this, whatever the atom count
+_BLOCK = 1 << 14
+
+
 def _atoms(h, abs_tol):
     """Distinct nonzero |values|, ascending, and the summed weighted measure
     of each: the modular depends on ``h`` only through these."""
@@ -34,15 +39,34 @@ def _atoms(h, abs_tol):
         vals = vals[vals > 0.0]
     else:
         raise DomainError(f"cannot take atoms of {type(h).__name__}")
-    atoms, which = np.unique(vals, return_inverse=True)
-    return atoms, np.bincount(which, weights=mus)
+    # a stable sort keeps equal values in input order, and each run of
+    # them is summed from its first member (np.unique costs twice as much)
+    order = np.argsort(vals, kind="stable")
+    vals, mus = vals[order], mus[order]
+    first = np.empty(len(vals), bool)
+    first[:1] = True
+    np.not_equal(vals[1:], vals[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    return vals[first], np.add.reduceat(mus, first)
 
 
-def _weighted_sum(f, t, mus):
-    """``sum f(t_i) * mu_i`` over the last axis; overflow and ``inf - inf`` give ``inf``."""
+def _weighted_sum(f, u, vals, mus):
+    """``sum_i f(u * v_i) * mu_i`` for a float ``u``, or for each entry of a
+    1D array ``u`` taken in blocks of at most ``_BLOCK`` points x atoms;
+    overflow and ``inf - inf`` give ``inf``."""
+    if np.ndim(u) == 0:
+        return _block_sum(f, u * vals, mus)
+    rows = max(1, _BLOCK // len(vals))
+    if len(u) <= rows:
+        return _block_sum(f, np.multiply.outer(u, vals), mus)
+    return np.concatenate([_block_sum(f, np.multiply.outer(u[i:i + rows], vals), mus)
+                           for i in range(0, len(u), rows)])
+
+
+def _block_sum(f, t, mus):
     with np.errstate(over="ignore", invalid="ignore"):
         y = np.asarray(f(t))
-        return np.sum(np.where(np.isnan(y), np.inf, y) * mus, axis=-1)
+        return (np.where(np.isnan(y), np.inf, y) * mus).sum(axis=-1)
 
 
 def modular(phi, h, abs_tol=1e-9):
@@ -55,7 +79,7 @@ def modular(phi, h, abs_tol=1e-9):
     vals, mus = _atoms(h, abs_tol)
     if len(vals) == 0:
         return 0.0
-    return float(_weighted_sum(phi.eval, vals, mus))
+    return float(_weighted_sum(phi.eval, 1.0, vals, mus))
 
 
 def luxemburg_norm(phi, h, rel_tol=1e-10, abs_tol=1e-9):
@@ -72,7 +96,7 @@ def luxemburg_norm(phi, h, rel_tol=1e-10, abs_tol=1e-9):
 def _luxemburg(phi, vals, mus, rel_tol=1e-10):
     if len(vals) == 0:
         return 0.0
-    u = solve_monotone(lambda u: _weighted_sum(phi.eval, np.multiply.outer(u, vals), mus),
+    u = solve_monotone(lambda u: _weighted_sum(phi.eval, u, vals, mus),
                        1.0, lo=0.0, hi=1.0 / float(np.max(vals)), rel_tol=rel_tol)
     return 1.0 / u
 
@@ -96,12 +120,11 @@ def _orlicz(phi, vals, mus, rel_tol=1e-12):
         return 0.0
 
     def conjugate_modular(k):
-        return _weighted_sum(lambda t: t * phi.density(t) - phi.eval(t),
-                             np.multiply.outer(k, vals), mus)
+        return _weighted_sum(lambda t: t * phi.density(t) - phi.eval(t), k, vals, mus)
 
     k = solve_monotone(conjugate_modular, 1.0, lo=0.0,
                        hi=1.0 / float(np.max(vals)), rel_tol=rel_tol)
-    return (1.0 + float(_weighted_sum(phi.eval, k * vals, mus))) / k
+    return (1.0 + float(_weighted_sum(phi.eval, k, vals, mus))) / k
 
 
 def indicator_norm(phi, region, abs_tol=1e-9, rel_tol=1e-12):
@@ -138,7 +161,7 @@ def norm_report(phi, h, abs_tol=1e-9):
     if lux == 0.0:
         return {"luxemburg": 0.0, "orlicz": orl, "ratio": float("nan"),
                 "equivalence_ok": orl == 0.0, "modular_at_luxemburg": 0.0}
-    mod_at = float(_weighted_sum(phi.eval, vals / lux, mus))
+    mod_at = float(_weighted_sum(phi.eval, 1.0 / lux, vals, mus))
     slack = 1e-9 * max(1.0, lux)
     ok = (lux <= orl + slack) and (orl <= 2.0 * lux + slack)
     return {"luxemburg": lux, "orlicz": orl, "ratio": orl / lux,

@@ -683,7 +683,8 @@ def estimate_symmetric_difference(r1, r2, samples=200_000, rng=None):
 
     Returns a dict with both estimates and their standard errors.
     """
-    lo, hi = _box_hull([r1.bounding_box(), r2.bounding_box()], r1.dim)
+    # an empty region's bounding box is the zero box: hull only the others
+    lo, hi = _box_hull([r.bounding_box() for r in (r1, r2) if len(r)], r1.dim)
     (lam, lam_err), (mu, mu_err) = _sampled(
         lo, hi, lambda pts: r1.contains(pts) != r2.contains(pts), samples, rng)
     return {"lebesgue": lam, "lebesgue_stderr": lam_err,

@@ -45,7 +45,8 @@ from .numerics import solve_monotone
 
 def _as_nonnegative(t):
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0):
+    # fmin skips NaN, so this is np.any(arr < 0) in a third of the time
+    if np.fmin.reduce(arr, axis=None, initial=0.0) < 0.0:
         raise DomainError("Young functions are defined for t >= 0")
     return arr
 
@@ -63,16 +64,21 @@ def _expm1_minus(x):
 
     The difference cancels for ``|x| < 1``, so there it is summed as its
     Taylor series by Horner's rule (the first omitted term is below
-    ``3e-17`` of the sum); beyond, the difference is accurate as it
-    stands.  Overflow gives ``inf``.
+    ``3e-17`` of the sum), which is skipped when no ``|x| < 1``; beyond,
+    the difference is accurate as it stands.  Overflow gives ``inf``.
     """
     x = np.asarray(x, dtype=float)
-    s = np.clip(x, -1.0, 1.0)
-    acc = 0.0
-    for c in _EXPM1_MINUS:
-        acc = acc * s + c
+    small = np.abs(x) < 1.0
     with np.errstate(over="ignore"):
-        return np.where(np.abs(x) < 1.0, acc * s * s, np.expm1(x) - x)
+        out = np.expm1(x) - x
+    if not small.any():
+        return out
+    s = np.minimum(np.maximum(x, -1.0), 1.0)
+    acc = np.full_like(s, _EXPM1_MINUS[0])
+    for c in _EXPM1_MINUS[1:]:
+        acc *= s
+        acc += c
+    return np.where(small, acc * s * s, out)
 
 
 class YoungFunction:

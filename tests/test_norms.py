@@ -9,10 +9,12 @@ minimiser of (1 + modular(k*h)) / k for the averaged norm.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from orliczval import norms
 from orliczval.errors import (
     CapabilityError,
     DensityResolutionError,
@@ -30,6 +32,7 @@ from orliczval.functions import (
 )
 from orliczval.norms import (
     _atoms,
+    _weighted_sum,
     indicator_norm,
     luxemburg_norm,
     modular,
@@ -448,6 +451,74 @@ def test_a_grid_with_two_values_has_two_atoms():
     assert vals.tolist() == [1.5, 4.0]
     assert np.allclose(mus, [cells[flat == 1.5].sum(), cells[flat == 4.0].sum()],
                        rtol=1e-15, atol=0)
+
+
+def _unique_atoms(vals, mus):
+    """The atoms as np.unique gives them: sorted distinct values, with the
+    measures summed in input order by bincount."""
+    atoms, which = np.unique(vals, return_inverse=True)
+    return atoms, np.bincount(which, weights=mus)
+
+
+def test_atoms_match_the_unique_form():
+    rng = np.random.default_rng(23)
+    repeated = rng.choice([0.2, -0.5, 0.5, 1.0, -3.5], 40)
+    for values in (repeated, [-2.5], rng.uniform(-2.0, 2.0, 7)):
+        h = _shells(values, 10.0 ** rng.uniform(-3.0, 0.0, len(values)))
+        mus = np.array([r.weighted_measure(1e-9 / len(h.terms)).value for _, r in h.terms])
+        want = _unique_atoms(np.abs(np.asarray(values, float)), mus)
+        got = _atoms(h, 1e-9)
+        assert got[0].tolist() == want[0].tolist()
+        # reduceat sums a run pairwise, bincount in input order
+        assert np.allclose(got[1], want[1], rtol=1e-14, atol=0.0), values
+    # a grid: zero cells dropped, runs of hundreds of equal values
+    grid = GridFunction([-1.0, 0.5], [2.0, 1.5],
+                        rng.choice([0.0, 1.5, -1.5, 0.25, 4.0, -7.0], (40, 30)))
+    flat = np.abs(grid.flat_values())
+    cells = grid.cell_weighted_measures()[0]
+    want = _unique_atoms(flat[flat > 0.0], cells[flat > 0.0])
+    got = _atoms(grid, 1e-9)
+    assert got[0].tolist() == want[0].tolist() == [0.25, 1.5, 4.0, 7.0]
+    assert np.allclose(got[1], want[1], rtol=1e-14, atol=0.0)
+    empty = _atoms(SimpleFunction(2, []), 1e-9)
+    assert empty[0].shape == empty[1].shape == (0,)
+
+
+def test_weighted_sum_in_blocks_equals_the_one_block_sum(monkeypatch):
+    rng = np.random.default_rng(29)
+    vals, mus = rng.uniform(0.1, 3.0, 2500), rng.uniform(0.0, 1e-3, 2500)
+    u = np.sort(rng.uniform(0.0, 400.0, 39))
+    phi = ExpYoung(1.3, 0.7)  # overflows for the larger u: those sums are inf
+    blocked = _weighted_sum(phi.eval, u, vals, mus)
+    assert norms._BLOCK // len(vals) < len(u)  # so the sum above took several blocks
+    with np.errstate(over="ignore"):
+        y = phi.eval(np.multiply.outer(u, vals))
+    assert blocked.tolist() == (np.where(np.isnan(y), np.inf, y) * mus).sum(axis=-1).tolist()
+    assert np.isinf(blocked[-1]) and np.isfinite(blocked[0])
+    # and the norms read the same from one block per call
+    grid = GridFunction([0.5, 0.5], [2.0, 2.0], rng.uniform(0.1, 2.0, (60, 60)))
+    got = [norm(phi, grid) for norm in (luxemburg_norm, orlicz_norm)]
+    monkeypatch.setattr(norms, "_BLOCK", 1 << 40)
+    assert [norm(phi, grid) for norm in (luxemburg_norm, orlicz_norm)] == got
+
+
+@pytest.mark.parametrize("phi", [PowerYoung(2.5), ExpYoung()], ids=["power", "exp"])
+def test_norms_of_a_large_grid_stay_in_bounded_memory(phi):
+    # 102,400 distinct values: one array of them is 0.8 MB, and the solves
+    # peak near 5 (power) and 8 MB (exp) in this trace; calls taken whole,
+    # 18 to 24 points x 102,400 atoms each, peaked at 80 and 160 MB
+    grid = GridFunction([0.5, 0.5], [2.0, 2.0],
+                        np.random.default_rng(3).uniform(0.1, 2.0, (320, 320)))
+    grid.cell_weighted_measures()  # cached, so the trace sees the solves
+    assert len(_atoms(grid, 1e-9)[0]) == 320 * 320
+    for norm in (luxemburg_norm, orlicz_norm):
+        tracemalloc.start()
+        try:
+            norm(phi, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20, (norm.__name__, peak)
 
 
 @pytest.mark.parametrize("phi", [PowerYoung(2.5), ExpYoung(1.3, 0.7)], ids=["power", "exp"])

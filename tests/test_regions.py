@@ -458,6 +458,20 @@ def test_monte_carlo_estimates_draw_the_same_points():
     assert sd["weighted"] == float(np.mean(np.where(left, w, 0.0)))
 
 
+def test_estimate_against_an_empty_region_samples_only_the_other_box():
+    # an empty region has no bounding box to add: every point is drawn in
+    # the unit box at (10, 10), so the area is exact, with zero stderr
+    # (stretched to the origin, the box gave stderr 0.070 at 20,000 samples)
+    box = Region([AxisBox([10, 10], [11, 11])])
+    pts = 10.0 + np.random.default_rng(5).random((1000, 2))
+    for r1, r2 in ((box, Region([], dim=2)), (Region([], dim=2), box)):
+        sd = estimate_symmetric_difference(r1, r2, 1000, np.random.default_rng(5))
+        assert (sd["lebesgue"], sd["lebesgue_stderr"]) == (1.0, 0.0)
+        assert sd["weighted"] == float(np.mean(np.sqrt(np.sum(pts * pts, axis=1))))
+    nothing = estimate_symmetric_difference(Region([], dim=2), Region([], dim=2), 100)
+    assert nothing["lebesgue"] == nothing["weighted"] == 0.0
+
+
 def test_polytope_3d_weighted_measure_matches_box_and_monte_carlo():
     cube = Polytope([[x, y, z] for x in (1, 2) for y in (1, 2) for z in (1, 2)])
     val, bound = part_weighted_measure(cube, 1e-9)

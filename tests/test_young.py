@@ -18,6 +18,7 @@ from orliczval.young import (
     PowerYoung,
     delta2_report,
     limit_report,
+    _expm1_minus,
     young_from_json,
     young_gap,
 )
@@ -108,6 +109,28 @@ def test_exp_and_log_families_keep_full_precision_at_small_arguments():
         # u**2/2 underflows below about 1e-154: zero or a subnormal there
         assert np.all(np.abs(got[~normal] - want[~normal]) <= 4.0 * np.finfo(float).smallest_subnormal)
         assert [phi.eval(float(u)) for u in us[::50]] == got[::50].tolist()
+
+
+def test_expm1_minus_is_within_four_ulp_of_mpmath():
+    # the hot path of both exponential families: a few thousand points in
+    # [-1, 1], where the series is summed, and geometric points on both
+    # sides out to where expm1 overflows (about 709.78)
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(17)
+    far = np.geomspace(1.0, 709.78, 400)
+    xs = np.concatenate((rng.uniform(-1.0, 1.0, 3000), [-1.0, -0.5, 0.5, 1.0], far, -far))
+    with mp.workdps(60):
+        want = np.array([float(mp.expm1(mp.mpf(x)) - x) for x in xs.tolist()])
+    got = _expm1_minus(xs)
+    ulps = np.abs(got - want) / np.spacing(want)
+    assert ulps.max() <= 4.0, xs[np.argmax(ulps)]
+    assert [float(_expm1_minus(x)) for x in xs[::97]] == got[::97].tolist()
+    # inf where expm1 overflows, also next to a point of the series
+    over = np.array([709.79, 710.0, 1e3, 1e300])
+    with np.errstate(over="ignore"):
+        assert np.all(np.isinf(np.expm1(over)))
+    assert np.all(_expm1_minus(over) == math.inf)
+    assert _expm1_minus(np.array([0.5, 710.0])).tolist() == [got[3002], math.inf]
 
 
 def test_young_gap_nonnegative_and_tight_at_density():
