@@ -84,14 +84,15 @@ class Settings:
         self.ns = ns
         path = getattr(ns, "config", None) or os.environ.get(ENV_CONFIG)
         self.file = _load_config(path) if path and os.path.exists(path) else {}
+        for key in ("tol-quad", "tol-root"):  # from any source
+            if not 0.0 < self.get(key, float) < math.inf:
+                raise OrliczvalError(f"--{key} must be a positive finite number")
 
     def get(self, key, cast=str):
         flag = getattr(self.ns, key.replace("-", "_"), None)
         if flag is not None:
             return flag
-        if key in self.file:
-            return cast(self.file[key])
-        value = _DEFAULTS.get(key)
+        value = self.file.get(key, _DEFAULTS.get(key))
         return value if value is None else cast(value)
 
 
@@ -428,7 +429,7 @@ def build_parser():
     parser.add_argument("--config", help="config file path (flat key=value); "
                         f"default from ${ENV_CONFIG}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help=argparse.SUPPRESS)
+    common.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     common.add_argument("--seed", type=int)
     common.add_argument("--out", help="write the evidence table here")
     common.add_argument("--format", choices=("json", "csv"))

@@ -21,12 +21,12 @@ with ``w_0 = g - c`` from the apex to the piece's near corner ``g`` and
 ball's sphere the reduction leaves one integral over the polar angle
 (``ball_weighted_measure``).
 
-One driver integrates every cone and ball over [0, 1]^d: tensor
-Gauss-Legendre rules at two orders on a mesh graded geometrically
-towards 0 down to the relative distance of the nearest singularity.  The
-higher order is the value, and the difference plus ``32 eps * sum
-|cell|`` is the error bound; cells over their share of the tolerance are
-bisected until the bound meets it.
+One driver integrates every cone and ball over [0, 1]^d: two-order tensor
+Gauss-Legendre rules on a mesh graded towards 0 down to the relative
+distance of the nearest singularity.  The higher order is the value, and
+the difference plus ``32 eps * sum |cell|`` is the error bound; cells
+over their share of the tolerance, in proportion to their magnitude, are
+bisected until the bound meets it.  A stack of boxes is one call.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import math
 import numpy as np
 
 from .errors import AccuracyError, DomainError
+from .polytopes import rectangle_weighted_measures
 
 
 def _gauss(order):
@@ -97,25 +98,29 @@ def _box_template(n):
 
 
 def box_weighted_measure(lo, hi, abs_tol):
-    """Integral of |x| over the box prod [lo_i, hi_i], any n >= 3.
+    """Integral of |x| over the boxes ``[lo[k], hi[k]]`` of ``(m, n)`` stacks.
 
-    A facet is an (n-1)-box; it is cut at its point nearest the origin
-    into sub-boxes, and each sub-box into pyramids over the faces that
-    do not touch that point.  Returns ``(value, error_bound)``.
+    An ``(n,)`` pair is one box; 2D boxes take the closed form (bound 0).
+    Above, each facet, an (n-1)-box, is cut at its point nearest the
+    origin into sub-boxes, and each sub-box into pyramids over the faces
+    not touching that point; the cones of all boxes share one
+    ``_integrate_cones`` call.  Returns ``(value, error_bound)``.
     """
-    lo = np.asarray(lo, float)
-    hi = np.asarray(hi, float)
-    n = len(lo)
+    lo = np.atleast_2d(np.asarray(lo, float))
+    hi = np.atleast_2d(np.asarray(hi, float))
+    m, n = lo.shape
+    if n == 2:
+        return float(rectangle_weighted_measures(lo, hi).sum()), 0.0
     facet, side, corner, axes = _box_template(n)
     rows = np.arange(len(facet))
-    h = np.where(side, hi[facet], -lo[facet])
-    apex = np.tile(np.clip(0.0, lo, hi), (len(facet), 1))
-    apex[rows, facet] = np.where(side, hi[facet], lo[facet])
-    steps = np.where(corner, hi, lo) - apex
-    steps[rows, facet] = 1.0    # so the product runs over the facet's axes
-    weight = h * np.abs(np.prod(steps, axis=1)) / (n + 1)
-    basis = np.zeros((len(facet), n - 1, n))
-    basis[rows[:, None], np.arange(n - 1), axes] = steps[rows[:, None], axes]
+    h = np.where(side, hi[:, facet], -lo[:, facet])
+    apex = np.repeat(np.clip(0.0, lo, hi)[:, None, :], len(facet), axis=1)
+    apex[:, rows, facet] = np.where(side, hi[:, facet], lo[:, facet])
+    steps = np.where(corner, hi[:, None, :], lo[:, None, :]) - apex
+    steps[:, rows, facet] = 1.0    # so the product runs over the facet's axes
+    weight = h * np.abs(np.prod(steps, axis=2)) / (n + 1)
+    basis = np.zeros((m, len(facet), n - 1, n))
+    basis[:, rows[:, None], np.arange(n - 1), axes] = steps[:, rows[:, None], axes]
     live = weight != 0.0
     return _integrate_cones(apex[live], basis[live], weight[live], abs_tol)
 
@@ -291,8 +296,10 @@ def _integrate(values, rho, mag, abs_tol):
     its width.  ``values(idx, lo, wid)`` returns both orders on the cells
     with integrand ``idx``, lower corner ``lo`` and width ``wid`` as an
     array of shape (2, cells).  Cells are bisected until the bound meets
-    ``abs_tol``.  Returns ``(value, error_bound)``.
+    ``abs_tol``, which must be positive.  Returns ``(value, error_bound)``.
     """
+    if not abs_tol > 0.0:
+        raise DomainError(f"abs_tol must be a positive number, got {abs_tol!r}")
     d = rho.shape[1]
     # grading stops where a whole cell is far under the tolerance
     deep = np.minimum(_MAX_LEVELS, np.ceil(np.log2(np.maximum(mag / (1e-3 * abs_tol), 1.0))))

@@ -42,8 +42,6 @@ from .polytopes import (
     _edge_margin,
     _edges,
     _tolerances,
-    polygon_weighted_measure,
-    rectangle_weighted_measures,
     split_polygon,
 )
 
@@ -172,17 +170,16 @@ def part_weighted_measure(part, abs_tol=1e-9):
     closed forms with bound 0.  Boxes in dimension >= 3, full-rank 3D
     polytopes and shifted balls go through Euler's boundary reduction
     (``facets``), whose bound never exceeds ``abs_tol``; lower-rank
-    polytopes have measure 0.  Raises ``AccuracyError`` when a
-    quadrature cannot meet ``abs_tol``, and ``CapabilityError`` for
-    full-rank polytopes above dimension 3.
+    polytopes have measure 0; a box is a box stack of one.  Raises
+    ``AccuracyError`` when a quadrature cannot meet ``abs_tol``,
+    ``DomainError`` when it is not positive, and ``CapabilityError``
+    for full-rank polytopes above dimension 3.
     """
     if isinstance(part, OriginBall):
         return _radial_weighted(part.dim, 0.0, part.radius), 0.0
     if isinstance(part, Annulus):
         return _radial_weighted(part.dim, part.inner, part.outer), 0.0
     if isinstance(part, AxisBox):
-        if part.dim == 2:
-            return polygon_weighted_measure(part.corners_polygon()), 0.0
         return box_weighted_measure(part.lo, part.hi, abs_tol)
     if isinstance(part, ShiftedBall):
         if part.offset == 0.0:
@@ -290,12 +287,12 @@ class Region:
     enforced; ``check_disjoint`` decides it exactly, pair by pair.
 
     The axis boxes are stacked once into ``(lo, hi)`` arrays, which
-    volume, moment, bounding box and the 2D weighted measure (by
-    ``rectangle_weighted_measures``) read in one pass; ``from_boxes``
+    volume, moment, bounding box and the weighted measure (one
+    ``facets.box_weighted_measure`` call) read in one pass; ``from_boxes``
     starts from such a stack and builds the ``AxisBox`` parts only when
-    ``parts`` is read.  Other parts, and boxes in dimension >= 3 for the
-    weighted measure, go one by one through the per-part functions, each
-    asked for an equal share of what the parts before it left of ``abs_tol``.
+    ``parts`` is read.  Each part of the weighted measure, the box stack
+    first, gets an equal share of what the parts before it left of
+    ``abs_tol``; the one measurement kept serves every request it meets.
     """
 
     def __init__(self, parts, dim=None):
@@ -311,7 +308,7 @@ class Region:
             raise DomainError("regions live in dimension >= 2")
         self.dim = int(dim)
         self._parts = parts
-        self._mu_cache = {}
+        self._mu = None
         self._boxes = None
 
     @classmethod
@@ -352,23 +349,17 @@ class Region:
         return total
 
     def weighted_measure(self, abs_tol=1e-9):
-        key = abs_tol
-        if key not in self._mu_cache:
-            boxes, rest = self._box_stack()
-            value = 0.0
-            if self.dim > 2:
-                rest = self.parts  # boxes take the facet reduction one by one
-            elif boxes:
-                value = float(rectangle_weighted_measures(*boxes).sum())
-            # each part measured one at a time gets an equal share of what
-            # the parts before it left of abs_tol
-            bound = 0.0
-            for k, p in enumerate(rest):
-                v, e = part_weighted_measure(p, (abs_tol - bound) / (len(rest) - k))
-                value += v
-                bound += e
-            self._mu_cache[key] = WeightedMeasure(value, bound)
-        return self._mu_cache[key]
+        if self._mu is not None and self._mu.error_bound <= abs_tol:  # never for a NaN
+            return self._mu
+        boxes, rest = self._box_stack()
+        value, bound = (box_weighted_measure(*boxes, abs_tol / (len(rest) + 1))
+                        if boxes else (0.0, 0.0))
+        for k, p in enumerate(rest):
+            v, e = part_weighted_measure(p, (abs_tol - bound) / (len(rest) - k))
+            value += v
+            bound += e
+        self._mu = WeightedMeasure(value, bound)
+        return self._mu
 
     def moment(self):
         boxes, rest = self._box_stack()

@@ -70,7 +70,7 @@ def _expm1_minus(x):
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1.0
     with np.errstate(over="ignore"):
-        out = np.expm1(x) - x
+        out = np.expm1(x) - np.minimum(x, 710.0)  # inf - inf would be NaN
     if not small.any():
         return out
     s = np.minimum(np.maximum(x, -1.0), 1.0)
@@ -274,10 +274,11 @@ class DensityYoung(YoungFunction):
         idx = np.clip(np.searchsorted(s, arr, side="right") - 1, 0, len(s) - 2)
         inside = arr <= s[-1]
         slope_in = (d[idx + 1] - d[idx]) / (s[idx + 1] - s[idx])
-        dt_in = arr - s[idx]
+        dt_in = np.minimum(arr, s[-1]) - s[idx]  # finite, so 0 * inf never arises
         val_in = self._cum[idx] + d[idx] * dt_in + 0.5 * slope_in * dt_in ** 2
         dt_out = arr - s[-1]
-        val_out = self._cum[-1] + d[-1] * dt_out + 0.5 * self.tail_slope * dt_out ** 2
+        lin = d[-1] * dt_out if d[-1] else 0.0  # an all-zero table meets no 0 * inf
+        val_out = self._cum[-1] + lin + 0.5 * self.tail_slope * dt_out ** 2
         return _scalar_like(t, np.where(inside, val_in, val_out))
 
     def density(self, s_query):

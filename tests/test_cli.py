@@ -335,6 +335,36 @@ def test_cli_config_file_and_override(tmp_path, capsys, monkeypatch):
     assert json.loads(out_json.read_text())[0]["kind"] == "radial"
 
 
+@pytest.mark.parametrize("bad", ["0", "nan", "-5", "inf"])
+def test_cli_rejects_a_tolerance_that_is_not_a_positive_number(bad, capsys):
+    for option, argv in (
+            ("--tol-quad", ["moment", "--region", "box:0.5,0.5,0.5:1,2,1.5"]),
+            ("--tol-quad", ["moment", "--region", "box:0.5,0.5:1,2"]),
+            ("--tol-quad", ["norm", "--phi", "power:2", "--indicator", "ball:1", "--dim", "2"]),
+            ("--tol-root", ["norm", "--phi", "power:2", "--indicator", "ball:1", "--dim", "2"])):
+        rc, out, err = run_cli(capsys, *argv, option, bad)
+        assert (rc, out) == (2, ""), (option, argv)
+        assert option in err and "Warning" not in err, err
+
+
+def test_cli_rejects_a_tolerance_from_the_config_file(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "orlicz.cfg"
+    monkeypatch.setenv("ORLICZVAL_CONFIG", str(cfg))
+    for line in ("tol-quad = 0", "tol-quad = nan", "tol-root = -1"):
+        cfg.write_text(line + "\n")
+        rc, out, err = run_cli(capsys, "moment", "--region", "box:0.5,0.5:1,2")
+        assert (rc, out) == (2, "")
+        assert "--" + line.split()[0] in err
+    # --config before the command is read too
+    monkeypatch.delenv("ORLICZVAL_CONFIG")
+    rc, out, err = run_cli(capsys, "--config", str(cfg), "moment", "--region", "box:0.5,0.5:1,2")
+    assert (rc, out) == (2, "") and "--tol-root" in err
+    monkeypatch.setenv("ORLICZVAL_CONFIG", str(cfg))
+    cfg.write_text("tol-quad = 1e-10\n")  # a flag still wins over the file
+    rc, out, _ = run_cli(capsys, "moment", "--region", "box:0.5,0.5:1,2", "--tol-quad", "1e-9")
+    assert rc == 0 and json.loads(out)["lebesgue"] == 0.75
+
+
 def test_cli_bad_input_exit_codes(capsys):
     rc, _, err = run_cli(capsys, "psi", "--xi", "identity",
                          "--simple", '{"bogus": 1}')

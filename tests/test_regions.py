@@ -9,6 +9,7 @@ from scipy import integrate, special
 from scipy.spatial import ConvexHull
 
 from orliczval.errors import AccuracyError, CapabilityError, DisjointnessError, DomainError
+from orliczval.facets import box_weighted_measure
 from orliczval.functions import SimpleFunction
 from orliczval.norms import indicator_norm, luxemburg_norm, orlicz_norm
 from orliczval.polytopes import Polytope
@@ -834,13 +835,19 @@ def test_axis_box_rejects_every_infinite_or_nan_bound():
 
 def _per_part_sums(region, abs_tol=1e-9):
     """Lebesgue measure, weighted measure, its bound and the moment, summed
-    part by part, with the sums of absolute values for the moment.  Each
-    part outside the 2D box stack gets an equal share of what the ones
+    part by part, with the sums of absolute values for the moment.  The
+    boxes are measured first, as one stack (box by box in 2D, where each
+    is a closed form), and each part gets an equal share of what the ones
     before it left of ``abs_tol``."""
-    stacked = [isinstance(p, AxisBox) and p.dim == 2 for p in region.parts]
-    rest = [p for p, s in zip(region.parts, stacked) if not s]
-    mus = [part_weighted_measure(p) for p, s in zip(region.parts, stacked) if s]
-    bound = 0.0
+    boxes = [p for p in region.parts if isinstance(p, AxisBox)]
+    rest = [p for p in region.parts if not isinstance(p, AxisBox)]
+    mus = []
+    if boxes and region.dim == 2:
+        mus = [part_weighted_measure(b) for b in boxes]
+    elif boxes:
+        lo, hi = np.array([b.lo for b in boxes]), np.array([b.hi for b in boxes])
+        mus = [box_weighted_measure(lo, hi, abs_tol / (len(rest) + 1))]
+    bound = sum(e for _, e in mus)
     for k, p in enumerate(rest):
         mus.append(part_weighted_measure(p, (abs_tol - bound) / (len(rest) - k)))
         bound += mus[-1][1]
@@ -877,7 +884,7 @@ def _mixed_regions():
 
 
 def test_region_sums_equal_per_part_sums():
-    # boxes are summed as one stack, the other parts one by one; the sums
+    # boxes are measured as one stack, the other parts one by one; the sums
     # are linear, so the random parts need not be disjoint here
     for region in _mixed_regions():
         vol, mu, bound, mom, mom_abs = _per_part_sums(region)
@@ -927,3 +934,74 @@ def test_weighted_measure_cache_reuse():
     first = weighted_measure(region, abs_tol=1e-8)
     second = weighted_measure(region, abs_tol=1e-8)
     assert first is second
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_measurement_serves_every_looser_request(monkeypatch):
+    import orliczval.facets as facets
+    from orliczval.norms import norm_report
+
+    phi = PowerYoung(2.5)
+    h = SimpleFunction(3, [(1.0, Region([AxisBox([0.2, 0.1, 0.3], [0.9, 0.8, 1.2])])),
+                           (2.0, Region([ShiftedBall(3, 0.4, 1.5)])),
+                           (0.5, Region([AxisBox([-1.0, -0.5, 0.0], [-0.2, 0.5, 0.6])]))])
+    norm_report(phi, h)  # each term asked for 1e-9 / 3
+    calls = _count_calls(monkeypatch, facets, "_integrate")
+    for _, region in h.terms:
+        assert weighted_measure(region, 1e-9).error_bound <= 1e-9 / 3.0
+        assert indicator_norm(phi, region, 1e-9) > 0.0
+    assert calls == []
+
+
+def test_a_tighter_request_measures_again():
+    region = Region([AxisBox([0.0, 0.0, 0.0], [1.0, 2.0, 1.5]), ShiftedBall(3, 0.3, -2.0)])
+    loose = region.weighted_measure(1e-6)
+    assert loose.error_bound <= 1e-6
+    for abs_tol in (1e-11, 1e-13):
+        tight = region.weighted_measure(abs_tol)
+        assert tight is not loose and tight.error_bound <= abs_tol
+        assert abs(tight.value - loose.value) <= loose.error_bound + tight.error_bound
+        assert region.weighted_measure(1e-6) is tight
+    # a closed form is measured once, whatever is asked
+    disk = Region([OriginBall(2, 1.0)])
+    assert disk.weighted_measure(1e-3) is disk.weighted_measure(1e-15)
+    # a NaN or nonpositive request never reads the kept measurement
+    for bad in (math.nan, 0.0, -1e-9):
+        with pytest.raises(DomainError):
+            region.weighted_measure(bad)
+
+
+def test_a_stack_of_3d_boxes_is_one_boundary_reduction(monkeypatch):
+    import orliczval.facets as facets
+
+    rng = np.random.default_rng(11)
+    lo = rng.uniform(-1.5, 1.5, (7, 3))
+    hi = lo + rng.uniform(0.1, 0.8, (7, 3))
+    region = Region.from_boxes(lo, hi)
+    calls = _count_calls(monkeypatch, facets, "_integrate_cones")
+    wm = region.weighted_measure(1e-10)
+    assert len(calls) == 1
+    assert region._parts is None  # no AxisBox was built
+    assert wm.error_bound <= 1e-10
+    parts = [part_weighted_measure(AxisBox(a, b), 1e-12) for a, b in zip(lo, hi)]
+    assert len(calls) == 1 + len(parts)
+    assert (abs(wm.value - sum(v for v, _ in parts))
+            <= wm.error_bound + sum(e for _, e in parts) + 1e-15 * wm.value)
+
+
+def test_a_quadrature_rejects_a_tolerance_that_is_not_positive():
+    for part in (AxisBox([0.5, 0.5, 0.5], [1.0, 2.0, 1.5]), ShiftedBall(3, 0.4, 1.5)):
+        for bad in (0.0, -5.0, math.nan, -math.inf):
+            with pytest.raises(DomainError, match="abs_tol"):
+                part_weighted_measure(part, bad)

@@ -283,6 +283,24 @@ def test_negative_arguments_rejected():
         phi.inverse(-2.0)
 
 
+def test_every_family_is_infinite_at_infinity_without_warnings():
+    # an all-zero sample table and a zero second-to-last sample used to
+    # multiply 0 by inf, and ExpYoung took inf - inf
+    import warnings
+
+    families = (PowerYoung(2.5), ExpYoung(), LogYoung(),
+                DensityYoung([(0.0, 0.0), (1.0, 1.0)]),
+                DensityYoung([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)]),
+                DensityYoung([(0.0, 0.0), (1.0, 0.0)], 2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for phi in families:
+            for f in (phi.eval, phi.density):
+                assert f(math.inf) == math.inf, (phi, f.__name__)
+                out = f(np.array([0.0, 2.0, math.inf]))
+                assert np.all(np.isfinite(out[:2])) and out[2] == math.inf, (phi, f.__name__)
+
+
 def test_eval_vectorized():
     phi = ExpYoung()
     ts = np.array([0.0, 1.0, 2.0])
