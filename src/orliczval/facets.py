@@ -285,6 +285,12 @@ def _integrate_cones(apex, basis, weight, abs_tol):
                       np.abs(weight) * (r_apex + size), abs_tol)
 
 
+def _check_tolerance(abs_tol):
+    """Raise ``DomainError`` unless ``abs_tol > 0`` (so never for a NaN)."""
+    if not abs_tol > 0.0:
+        raise DomainError(f"abs_tol must be a positive number, got {abs_tol!r}")
+
+
 def _integrate(values, rho, mag, abs_tol):
     """Sum of integrals over [0, 1]^d by two-order Gauss on graded cells.
 
@@ -298,8 +304,7 @@ def _integrate(values, rho, mag, abs_tol):
     array of shape (2, cells).  Cells are bisected until the bound meets
     ``abs_tol``, which must be positive.  Returns ``(value, error_bound)``.
     """
-    if not abs_tol > 0.0:
-        raise DomainError(f"abs_tol must be a positive number, got {abs_tol!r}")
+    _check_tolerance(abs_tol)
     d = rho.shape[1]
     # grading stops where a whole cell is far under the tolerance
     deep = np.minimum(_MAX_LEVELS, np.ceil(np.log2(np.maximum(mag / (1e-3 * abs_tol), 1.0))))

@@ -236,10 +236,11 @@ class Polytope:
     lexicographic order, so equal polytopes compare equal.
 
     A full-rank polytope in dimension >= 3 keeps the facets of the one
-    qhull that found its vertices: ``facets`` are triangles, as rows of
-    indices into ``vertices``, and ``equations`` their outward unit
-    normals ``a`` and offsets ``d``, with ``a.x + d <= 0`` inside.  Both
-    are None otherwise.  No input point other than a vertex is kept.
+    qhull that found its vertices, or of its preimage under ``transform``:
+    ``facets`` are triangles, as rows of indices into ``vertices``, and
+    ``equations`` their outward unit normals ``a`` and offsets ``d``, with
+    ``a.x + d <= 0`` inside.  Both are None otherwise.  No input point
+    other than a vertex is kept.
     """
 
     def __init__(self, points):
@@ -259,7 +260,30 @@ class Polytope:
         return self._rank
 
     def transform(self, theta):
-        return Polytope(self.vertices @ np.asarray(theta, float).T)
+        """The image under the invertible ``(n, n)`` map ``theta``.
+
+        A linear bijection carries the face lattice of a hull onto that
+        of its image, so a full-rank polytope in dimension >= 3 keeps its
+        hull: the mapped vertices are re-sorted lexicographically,
+        ``facets`` re-indexed, and each facet's ``(a, d)`` becomes
+        ``(theta^-T a, d)``, renormalised, which stays outward for any
+        invertible map.  Only an image that fails ``_hull_and_rank``'s
+        rank test (singular values of ``_frame`` against ``flat``) is
+        hulled again; so is every polytope of lower rank or dimension.
+        """
+        theta = np.asarray(theta, float)
+        pts = self.vertices @ theta.T
+        if self.facets is None or np.sum(_frame(pts)[1] > _tolerances(pts)[2]) < self.dim:
+            return Polytope(pts)
+        order = np.lexsort(pts.T[::-1])
+        where = np.empty(len(order), int)
+        where[order] = np.arange(len(order))
+        eq = np.hstack([self.equations[:, :-1] @ np.linalg.inv(theta), self.equations[:, -1:]])
+        image = object.__new__(Polytope)
+        image.dim, image._rank, image._flat = self.dim, self._rank, None
+        image.vertices, image.facets = pts[order], where[self.facets]
+        image.equations = eq / np.linalg.norm(eq[:, :-1], axis=1)[:, None]
+        return image
 
     def volume(self):
         if self.dim == 2:
@@ -640,27 +664,28 @@ def diagonal_unimodular(n, k):
 
 
 # -- planar clipping -------------------------------------------------------
+#
+# Polygons here are lists of (x, y) float pairs: a walk over a few
+# vertices is cheaper in plain floats than in numpy calls.
 
 def _clip_halfplane(v, point, direction, eps):
     """Keep the part of polygon ``v`` left of the ray point + t*direction."""
-    if len(v) == 0:
+    if not v:
         return v
-    side = _edge_margin(point[None], direction[None], v[:, 0], v[:, 1])
-    if np.all(side >= -eps):
+    (px, py), (ex, ey) = point, direction
+    side = [ex * (y - py) - ey * (x - px) for x, y in v]
+    if min(side) >= -eps:
         return v
-    if np.all(side <= eps):
-        return np.zeros((0, 2))
+    if max(side) <= eps:
+        return []
     out = []
-    m = len(v)
-    for i in range(m):
-        a, sa = v[i], side[i]
-        b, sb = v[(i + 1) % m], side[(i + 1) % m]
+    for a, b, sa, sb in zip(v, v[1:] + v[:1], side, side[1:] + side[:1]):
         if sa >= -eps:
             out.append(a)
         if (sa > eps and sb < -eps) or (sa < -eps and sb > eps):
             t = sa / (sa - sb)
-            out.append(a + t * (b - a))
-    return np.asarray(out)
+            out.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+    return out
 
 
 def _tidy(v, tol, eps):
@@ -668,14 +693,17 @@ def _tidy(v, tol, eps):
         return None
     keep = [v[0]]
     for p in v[1:]:
-        if np.max(np.abs(p - keep[-1])) > tol:
+        if max(abs(p[0] - keep[-1][0]), abs(p[1] - keep[-1][1])) > tol:
             keep.append(p)
-    if len(keep) > 1 and np.max(np.abs(keep[0] - keep[-1])) <= tol:
+    if len(keep) > 1 and max(abs(keep[0][0] - keep[-1][0]), abs(keep[0][1] - keep[-1][1])) <= tol:
         keep.pop()
-    v = np.asarray(keep)
-    if len(v) < 3 or abs(polygon_area(v)) <= eps:
+    if len(keep) < 3:
         return None
-    return v
+    # twice the area, fanned from the first vertex as in polygon_area
+    (x0, y0), area = keep[0], 0.0
+    for (ax, ay), (bx, by) in zip(keep[1:], keep[2:]):
+        area += (ax - x0) * (by - y0) - (ay - y0) * (bx - x0)
+    return None if abs(0.5 * area) <= eps else keep
 
 
 def split_polygon(p, q):
@@ -688,18 +716,22 @@ def split_polygon(p, q):
     of what is left that lies outside the edge becomes a piece, and the
     rest goes on to the next edge; what stays inside every edge is
     ``inside``.  When ``inside`` is None, ``p`` comes back whole as the
-    one piece.  At most two half-plane clips per edge of ``q``.
+    one piece.  At most two half-plane clips per edge of ``q``.  The walk
+    runs in plain floats, an intersection at ``a + t (b - a)``; inputs
+    and results are ``(m, 2)`` arrays.
     """
     p = np.asarray(p, float)
     q = np.asarray(q, float)
     tol, eps, _ = _tolerances(np.vstack([p, q]))
-    rest, pieces = p, []
-    for a, e in zip(*_edges(q)):
-        piece = _tidy(_clip_halfplane(rest, a, -e, eps), tol, eps)
+    rest, pieces = p.tolist(), []
+    corners = q.tolist()
+    for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]):
+        ex, ey = bx - ax, by - ay
+        piece = _tidy(_clip_halfplane(rest, (ax, ay), (-ex, -ey), eps), tol, eps)
         if piece is not None:
-            pieces.append(piece)
-        rest = _clip_halfplane(rest, a, e, eps)
-        if len(rest) == 0:
+            pieces.append(np.array(piece))
+        rest = _clip_halfplane(rest, (ax, ay), (ex, ey), eps)
+        if not rest:
             break
     inside = _tidy(rest, tol, eps)
-    return (None, [p]) if inside is None else (inside, pieces)
+    return (None, [p]) if inside is None else (np.array(inside), pieces)

@@ -30,6 +30,7 @@ from .errors import (
     DomainError,
 )
 from .facets import (
+    _check_tolerance,
     _nearest_in_triangles,
     _nearest_on_edges,
     ball_weighted_measure,
@@ -104,6 +105,13 @@ class AxisBox:
         self.lo, self.hi = _box_bounds(lo, hi, 1)
         self.dim = len(self.lo)
 
+    @classmethod
+    def _of_bounds(cls, lo, hi):
+        # the box of float vectors already known to pass _box_bounds
+        box = object.__new__(cls)
+        box.lo, box.hi, box.dim = lo, hi, len(lo)
+        return box
+
     def corners_polygon(self):
         (a, b), (c, d) = (self.lo[0], self.hi[0]), (self.lo[1], self.hi[1])
         return np.array([[a, c], [b, c], [b, d], [a, d]])
@@ -171,10 +179,11 @@ def part_weighted_measure(part, abs_tol=1e-9):
     polytopes and shifted balls go through Euler's boundary reduction
     (``facets``), whose bound never exceeds ``abs_tol``; lower-rank
     polytopes have measure 0; a box is a box stack of one.  Raises
-    ``AccuracyError`` when a quadrature cannot meet ``abs_tol``,
-    ``DomainError`` when it is not positive, and ``CapabilityError``
-    for full-rank polytopes above dimension 3.
+    ``DomainError`` for an ``abs_tol`` that is not positive, closed form
+    or not, ``AccuracyError`` when a quadrature cannot meet it, and
+    ``CapabilityError`` for full-rank polytopes above dimension 3.
     """
+    _check_tolerance(abs_tol)
     if isinstance(part, OriginBall):
         return _radial_weighted(part.dim, 0.0, part.radius), 0.0
     if isinstance(part, Annulus):
@@ -349,7 +358,10 @@ class Region:
         return total
 
     def weighted_measure(self, abs_tol=1e-9):
-        if self._mu is not None and self._mu.error_bound <= abs_tol:  # never for a NaN
+        """The kept ``WeightedMeasure`` if its bound meets ``abs_tol``, else a
+        new one; ``DomainError`` for an ``abs_tol`` that is not positive."""
+        _check_tolerance(abs_tol)
+        if self._mu is not None and self._mu.error_bound <= abs_tol:
             return self._mu
         boxes, rest = self._box_stack()
         value, bound = (box_weighted_measure(*boxes, abs_tol / (len(rest) + 1))
@@ -577,7 +589,10 @@ def _painted_cells(fparts, gparts, keep, bounds, make):
     # Parts are axis intervals [lo, hi), with bounds(part) = (lo, hi) as
     # scalars (one axis) or vectors.  The cuts on each axis are compressed,
     # each side adds its values over the grid slice of every part, and
-    # make(lo, hi) builds the cells that keep(a, b) admits, in C order.
+    # make(lo, hi) builds the cells that keep(a, b) admits, in C order,
+    # from their (cells, axes) corner arrays.  The cuts are sorted, distinct
+    # and finite, so every cell already meets what AxisBox checks of user
+    # input, and box cells skip that check (AxisBox._of_bounds).
     pairs = fparts + gparts
     if not pairs:
         return []
@@ -589,11 +604,10 @@ def _painted_cells(fparts, gparts, keep, bounds, make):
         sides[(int(k >= len(fparts)),) + tuple(map(slice, start, stop))] += value
     a, b = sides
     idx = np.argwhere(keep(a, b))
-    cell_lo = np.stack([c[i] for c, i in zip(cuts, idx.T)], 1).tolist()
-    cell_hi = np.stack([c[i + 1] for c, i in zip(cuts, idx.T)], 1).tolist()
+    cell_lo = np.stack([c[i] for c, i in zip(cuts, idx.T)], 1)
+    cell_hi = np.stack([c[i + 1] for c, i in zip(cuts, idx.T)], 1)
     at = tuple(idx.T)
-    return [(make(lo, hi), va, vb) for lo, hi, va, vb
-            in zip(cell_lo, cell_hi, a[at].tolist(), b[at].tolist())]
+    return list(zip(make(cell_lo, cell_hi), a[at].tolist(), b[at].tolist()))
 
 
 def _clipped_cells(fpolys, gpolys, keep):
@@ -601,15 +615,17 @@ def _clipped_cells(fpolys, gpolys, keep):
     # split only by the polygons of the other side that it meets
     cells, met = [], set()
     for i, (va, p) in enumerate(fpolys):
-        rest = [p]
+        rest = None  # p stays whole until it meets a polygon of g
         for j, (vb, q) in enumerate(gpolys):
-            inside, _ = split_polygon(p, q)
+            inside, pieces = split_polygon(p, q)
             if inside is not None:
                 met.add((i, j))
-                rest = [s for r in rest for s in split_polygon(r, q)[1]]
+                rest = pieces if rest is None else [
+                    s for r in rest for s in split_polygon(r, q)[1]]
                 if keep(va, vb):
                     cells.append((Polytope(inside), va, vb))
-        cells += [(Polytope(r), va, 0.0) for r in rest if keep(va, 0.0)]
+        cells += [(Polytope(r), va, 0.0) for r in ([p] if rest is None else rest)
+                  if keep(va, 0.0)]
     for j, (vb, q) in enumerate(gpolys):
         rest = [q]
         for i, (_, p) in enumerate(fpolys):
@@ -637,10 +653,11 @@ def refinement_cells(fparts, gparts, dim, keep):
     """
     parts = [p for _, p in fparts + gparts]
     if all(isinstance(p, _RADIAL) for p in parts):
-        return _painted_cells(fparts, gparts, keep, radial_interval,
-                              lambda lo, hi: radial_part(dim, lo[0], hi[0]))
+        return _painted_cells(fparts, gparts, keep, radial_interval, lambda lo, hi: [
+            radial_part(dim, a, b) for a, b in zip(lo[:, 0].tolist(), hi[:, 0].tolist())])
     if all(isinstance(p, AxisBox) for p in parts):
-        return _painted_cells(fparts, gparts, keep, lambda box: (box.lo, box.hi), AxisBox)
+        return _painted_cells(fparts, gparts, keep, lambda box: (box.lo, box.hi),
+                              lambda lo, hi: list(map(AxisBox._of_bounds, lo, hi)))
     fpolys = [(v, _as_polygon(p)) for v, p in fparts]
     gpolys = [(v, _as_polygon(p)) for v, p in gparts]
     if all(p is not None for _, p in fpolys + gpolys):

@@ -6,7 +6,7 @@ import pytest
 
 from orliczval import polytopes
 from orliczval.errors import DomainError
-from orliczval.regions import cube_cover, part_contains, part_weighted_measure
+from orliczval.regions import Region, cube_cover, part_contains, part_weighted_measure
 from orliczval.polytopes import (
     PlanarCoefficients,
     Polytope,
@@ -852,7 +852,9 @@ def test_split_pieces_and_inside_are_disjoint_random():
             continue
         inside, pieces = split_polygon(a, b)
         cells = pieces + ([] if inside is None else [inside])
-        assert abs(sum(polygon_area(c) for c in cells) - polygon_area(a)) < 1e-9
+        eps = polytopes._tolerances(np.vstack([a, b]))[1]
+        assert abs(sum(polygon_area(c) for c in cells) - polygon_area(a)) <= eps
+        Region([Polytope(c) for c in cells]).check_disjoint()
         for k, c in enumerate(cells):
             assert polygon_area(c) > 0.0
             # every cell lies in a; the pieces miss b and one another
@@ -881,3 +883,100 @@ def test_split_clips_at_most_twice_per_edge(monkeypatch):
         calls.clear()
         split_polygon(a, b)
         assert 0 < len(calls) <= 2 * len(b)
+
+
+def test_split_is_invariant_under_dyadic_scaling():
+    rng = np.random.default_rng(317)
+    pairs = [(_random_polygon(rng, np.array([-1.0, -1.0]), np.array([1.0, 1.0]), k=9),
+              _random_polygon(rng, np.array([-1.5, -0.5]), np.array([0.5, 1.5]), k=9))
+             for _ in range(12)]
+    base = [split_polygon(a, b) for a, b in pairs]
+    for k in range(-40, 41):
+        s = 2.0 ** k
+        for (a, b), (inside, pieces) in zip(pairs, base):
+            s_inside, s_pieces = split_polygon(s * a, s * b)
+            assert (s_inside is None) == (inside is None), k
+            if inside is not None:
+                assert np.array_equal(s_inside, s * inside), k
+            assert len(s_pieces) == len(pieces), k
+            assert all(np.array_equal(x, s * y) for x, y in zip(s_pieces, pieces)), k
+
+
+# -- SL(n) images ----------------------------------------------------------
+
+def _qhull_runs(monkeypatch):
+    from scipy import spatial
+
+    runs, qhull = [], spatial.ConvexHull
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return qhull(*args, **kwargs)
+
+    monkeypatch.setattr(spatial, "ConvexHull", counted)
+    return runs
+
+
+def _assert_outward_unit_normals(poly):
+    eq = poly.equations
+    assert np.allclose(np.linalg.norm(eq[:, :3], axis=1), 1.0, rtol=0.0, atol=1e-14)
+    tol = polytopes._tolerances(poly.vertices)[0]
+    offsets = poly.vertices @ eq[:, :3].T + eq[:, 3]
+    on_facet = np.einsum("fkj,fj->fk", poly.vertices[poly.facets], eq[:, :3]) + eq[:, 3:]
+    assert np.max(np.abs(on_facet)) <= tol
+    assert np.max(offsets) <= tol
+    # the vertex centroid lies strictly inside every facet
+    assert np.all(poly.vertices.mean(axis=0) @ eq[:, :3].T + eq[:, 3] < -tol)
+
+
+def _maps_3d(rng):
+    for _ in range(8):
+        yield random_unimodular(3, rng)
+    for k in (2.0, -0.5, 1.0 / 3.0, 8.0):
+        yield diagonal_unimodular(3, k)
+
+
+def test_a_3d_image_keeps_the_hull_of_its_source(monkeypatch):
+    rng = np.random.default_rng(71)
+    polys = [Polytope(rng.uniform(-1.0, 1.0, (m, 3)) + shift)
+             for m, shift in ((4, 0.0), (12, 0.0), (30, 0.5), (8, 3.0))]
+    polys.append(Polytope([[x, y, z] for x in (0, 1) for y in (0, 2) for z in (-1, 1)]))
+    probes = rng.uniform(-4.0, 4.0, (400, 3))
+    for poly in polys:
+        for theta in _maps_3d(rng):
+            runs = _qhull_runs(monkeypatch)
+            image = poly.transform(theta)
+            assert runs == []
+            fresh = Polytope(poly.vertices @ theta.T)
+            assert image == fresh and image.rank == 3
+            assert math.isclose(image.volume(), fresh.volume(), rel_tol=1e-13)
+            assert math.isclose(image.volume(), poly.volume(), rel_tol=1e-12)
+            scale = np.max(np.abs(fresh.moment()))
+            assert np.allclose(image.moment(), fresh.moment(), rtol=0.0, atol=1e-13 * scale)
+            assert np.array_equal(image.contains_points(probes), fresh.contains_points(probes))
+            assert image.origin_class() == fresh.origin_class()
+            _assert_outward_unit_normals(image)
+
+
+def test_a_reflected_3d_image_keeps_outward_normals():
+    rng = np.random.default_rng(73)
+    poly = Polytope(rng.uniform(-1.0, 1.0, (15, 3)) + [0.2, -0.1, 0.4])
+    for flip in (np.diag([-1.0, 1.0, 1.0]), np.eye(3)[[1, 0, 2]], -np.eye(3)):
+        theta = flip @ random_unimodular(3, rng)
+        assert np.linalg.det(theta) < 0.0
+        image = poly.transform(theta)
+        assert image == Polytope(poly.vertices @ theta.T)
+        assert math.isclose(image.volume(), poly.volume(), rel_tol=1e-12)
+        _assert_outward_unit_normals(image)
+
+
+def test_a_flat_3d_image_is_hulled_again():
+    rng = np.random.default_rng(79)
+    poly = Polytope(rng.uniform(-1.0, 1.0, (12, 3)))
+    for theta in (np.diag([1.0, 1.0, 0.0]), np.diag([1.0, 1.0, 1e-14]),
+                  random_unimodular(3, rng) @ np.diag([1.0, 1e-15, 1.0])):
+        image = poly.transform(theta)
+        fresh = Polytope(poly.vertices @ theta.T)
+        assert image.rank == fresh.rank == 2
+        assert image.facets is None and image.equations is None
+        assert image == fresh and image.volume() == 0.0

@@ -6,6 +6,7 @@ each side's values over the parts whose half-open interval holds the
 cell's midpoint.  Radial parts are intervals in |x|, boxes in x.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -334,3 +335,37 @@ def test_psi_of_the_zero_function_is_the_zero_vector():
     for dim in (2, 3, 4):
         got = psi(identity_composer(), SimpleFunction.zero(dim))
         assert got.shape == (dim,) and not got.any()
+
+
+# -- pinned cells ----------------------------------------------------------
+
+def _part_bytes(part):
+    if isinstance(part, Polytope):
+        return b"polytope" + part.vertices.tobytes()
+    return type(part).__name__.encode() + np.array(_bounds(part), float).tobytes()
+
+
+def _pinned_digests():
+    """sha256, per algebra, of the refine cells and symmetric_difference parts
+    of ``_function_pairs``: every coordinate and value, bit for bit."""
+    out = {}
+    for algebra, f, g in _function_pairs():
+        cells, diff = out.setdefault(algebra, (hashlib.sha256(), hashlib.sha256()))
+        for part, a, b in refine(f, g).cells:
+            cells.update(_part_bytes(part) + np.array([a, b], float).tobytes())
+        supports = (Region([p for _, r in h.terms for p in r.parts], dim=h.dim) for h in (f, g))
+        for part in symmetric_difference(*supports).parts:
+            diff.update(_part_bytes(part))
+        diff.update(b"|")
+    return {k: (c.hexdigest()[:16], d.hexdigest()[:16]) for k, (c, d) in out.items()}
+
+
+_PINNED = {"radial": ("06e80717908e7342", "f0d00c5f21eb3a71"),
+           "box": ("2be69d00723ffbe0", "8d84330c4bbdb751"),
+           "polygon": ("5398127a8b78647a", "898095b904d9558f")}
+
+
+def test_refined_cells_keep_their_bits():
+    # recorded from the numpy clipping walk and re-validated grid cells; the
+    # float walk and the cells built from their cuts give the same bits
+    assert _pinned_digests() == _PINNED

@@ -1005,3 +1005,20 @@ def test_a_quadrature_rejects_a_tolerance_that_is_not_positive():
         for bad in (0.0, -5.0, math.nan, -math.inf):
             with pytest.raises(DomainError, match="abs_tol"):
                 part_weighted_measure(part, bad)
+
+
+@pytest.mark.parametrize("part", [
+    OriginBall(2, 1.0), Annulus(3, 0.5, 1.0), AxisBox([0.0, 0.0], [1.0, 2.0]),
+    ShiftedBall(3, 0.5, 0.0), Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+    Polytope([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])],
+    ids=["origin_ball", "annulus", "box2", "centred_ball", "polygon", "flat_polytope"])
+def test_a_closed_form_rejects_a_tolerance_that_is_not_positive(part):
+    # the same answer as a quadrature part: no closed form hides a bad request
+    region = Region([part])
+    good = region.weighted_measure(1e-9)
+    assert good.error_bound == 0.0 and part_weighted_measure(part, 1e-9)[1] == 0.0
+    for bad in (0.0, -1.0, math.nan, -math.inf):
+        with pytest.raises(DomainError, match="abs_tol must be a positive number"):
+            part_weighted_measure(part, bad)
+        with pytest.raises(DomainError, match="abs_tol must be a positive number"):
+            region.weighted_measure(bad)
