@@ -9,7 +9,6 @@ from orliczval import (
     LogYoung,
     PowerYoung,
     delta2_report,
-    young_gap,
 )
 
 print("=== power family and its conjugate ===")
@@ -27,9 +26,10 @@ print()
 print("=== Young inequality: s*t <= phi(s) + phi*(t) ===")
 rng = np.random.default_rng(1)
 worst = 0.0
+pair = ConjugatePair(phi)
 for _ in range(200):
     s, t = rng.uniform(0.0, 5.0, size=2)
-    gap = young_gap(phi, s, t)
+    gap = pair.gap(s, t)
     worst = min(worst, gap)
 print(f"minimum gap over 200 random pairs: {worst:.3e} (never negative)")
 
@@ -37,7 +37,7 @@ print(f"minimum gap over 200 random pairs: {worst:.3e} (never negative)")
 s = 1.7
 t_eq = float(phi.density(s))
 print(f"gap at the density graph point ({s}, {t_eq:.5f}): "
-      f"{young_gap(phi, s, t_eq):.3e}")
+      f"{pair.gap(s, t_eq):.3e}")
 
 print()
 print("=== exp and log are conjugate to each other ===")

@@ -28,7 +28,6 @@ from .young import (
     delta2_report,
     limit_report,
     young_from_json,
-    young_gap,
 )
 from .regions import (
     Annulus,
@@ -48,7 +47,6 @@ from .polytopes import (
     Polytope,
     cone_hull,
     continuity_constraint_system,
-    convex_hull_2d,
     diagonal_unimodular,
     edge_sum,
     moment,
@@ -65,7 +63,6 @@ from .functions import (
     SimpleFunction,
     difference,
     lattice_max_min,
-    positive_negative_parts,
     rasterize,
     refine,
 )
@@ -87,7 +84,6 @@ from .valuations import (
     build_divergence_plan,
     check_cphi,
     check_covariance,
-    check_sign_decomposition,
     check_valuation_identity,
     composer_from_json,
     continuity_probe,
@@ -95,7 +91,6 @@ from .valuations import (
     find_divergence_witnesses,
     identity_composer,
     psi,
-    psi_quadrature,
 )
 from .suites import SUITES
 

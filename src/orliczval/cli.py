@@ -192,11 +192,11 @@ def _parse_phi(token):
     if name == "power":
         if not args:
             raise OrliczvalError("power family needs an exponent: power:p")
-        return PowerYoung(*args[:2])
+        return PowerYoung(*args)
     if name == "exp":
-        return ExpYoung(*args[:2])
+        return ExpYoung(*args)
     if name == "log":
-        return LogYoung(*args[:2])
+        return LogYoung(*args)
     raise OrliczvalError(f"unknown Young shorthand {token!r}")
 
 
@@ -235,7 +235,7 @@ def _parse_xi(token):
         return OddComposer(_parse_phi(rest))
     if name == "tanh":
         args = [float(x) for x in rest.split(":") if x]
-        return SigmoidComposer(*args[:2])
+        return SigmoidComposer(*args)
     raise OrliczvalError(f"unknown composer shorthand {token!r}")
 
 
@@ -245,30 +245,12 @@ def _parse_simple(token):
     return h
 
 
-def _build_young(ns):
-    if ns.phi is not None:
-        return _parse_phi(ns.phi)
-    if ns.family is None:
-        raise OrliczvalError("give --family or --phi")
-    if ns.family == "power":
-        if ns.p is None:
-            raise OrliczvalError("power family needs --p")
-        return PowerYoung(ns.p, ns.scale if ns.scale is not None else 1.0)
-    scale = ns.scale if ns.scale is not None else 1.0
-    rate = ns.rate if ns.rate is not None else 1.0
-    if ns.family == "exp":
-        return ExpYoung(scale, rate)
-    if ns.family == "log":
-        return LogYoung(scale, rate)
-    raise OrliczvalError(f"unknown family {ns.family!r}")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_young(ns, settings):
-    phi = _build_young(ns)
+    phi = _parse_phi(ns.phi)
     if ns.mode == "eval":
         if ns.t is None:
             raise OrliczvalError("young eval needs --t")
@@ -387,7 +369,7 @@ def _suite_kwargs(name, ns, settings):
     return kwargs
 
 
-def _first_failure(name, result):
+def _first_failure(result):
     for row in result["rows"]:
         if "residual" in row and row["residual"] > result["summary"].get(
                 "residual_max", math.inf):
@@ -403,16 +385,11 @@ def _first_failure(name, result):
 
 
 def cmd_verify(ns, settings):
-    fn = _suites.SUITES.get(ns.suite)
-    if fn is None:
-        raise OrliczvalError(
-            f"unknown suite {ns.suite!r} (choose from "
-            f"{', '.join(sorted(_suites.SUITES))})")
-    result = fn(**_suite_kwargs(ns.suite, ns, settings))
+    result = _suites.SUITES[ns.suite](**_suite_kwargs(ns.suite, ns, settings))
     report = {"suite": result["name"], "ok": result["ok"],
               "summary": result["summary"]}
     if not result["ok"]:
-        report["first_failure"] = _first_failure(ns.suite, result)
+        report["first_failure"] = _first_failure(result)
     _emit(report, result["rows"], settings)
     return 0 if result["ok"] else 1
 
@@ -445,11 +422,8 @@ def build_parser():
     p = sub.add_parser("young", parents=[common],
                        help="evaluate, conjugate, or probe a gauge family")
     p.add_argument("mode", choices=("eval", "conjugate", "delta2", "limits"))
-    p.add_argument("--family", choices=("power", "exp", "log"))
-    p.add_argument("--p", type=float, help="power-family exponent")
-    p.add_argument("--scale", type=float)
-    p.add_argument("--rate", type=float)
-    p.add_argument("--phi", help="shorthand like power:2 or a JSON spec")
+    p.add_argument("--phi", required=True,
+                   help="shorthand like power:2 or a JSON spec")
     p.add_argument("--t", type=float, help="argument for eval")
     p.set_defaults(func=cmd_young)
 

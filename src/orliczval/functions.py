@@ -53,10 +53,6 @@ class SimpleFunction:
     def zero(cls, dim):
         return cls(dim, [])
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
     def scale(self, c):
         return SimpleFunction(self.dim, [(c * v, r) for v, r in self.terms])
 
@@ -148,12 +144,6 @@ def difference(f, g):
     """f - g on the common refinement, one term per distinct nonzero value."""
     pair = refine(f, g)
     return _by_value(pair.dim, [(a - b, part) for part, a, b in pair.cells])
-
-
-def positive_negative_parts(f):
-    """Split into (f max 0, f min 0); their sum reproduces f."""
-    zero = SimpleFunction.zero(f.dim)
-    return lattice_max_min(f, zero)
 
 
 class GridFunction:

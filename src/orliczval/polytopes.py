@@ -72,12 +72,6 @@ def _edge_margin(starts, dirs, x, y):
     return out
 
 
-def convex_hull_2d(points):
-    """Irredundant ccw hull, starting at the lexicographically smallest vertex."""
-    pts = np.asarray(points, float)
-    return pts[_hull_and_rank(pts)[0]]
-
-
 def _hull_2d(pts, tol, eps):
     """Andrew's monotone chain: indices of the ccw hull of ``pts`` from its
     lexicographically smallest point.  Turns with a cross product at most
@@ -181,10 +175,6 @@ def rectangle_weighted_measures(lo, hi):
     a = x[..., [0, 1, 2, 1, 2, 3, 0, 3]].reshape(shape)
     b = x[..., [2, 1, 2, 3, 0, 3, 0, 1]].reshape(shape)
     return edge_weighted_measures(a, b).sum(axis=-1)
-
-
-def affine_rank(points):
-    return _hull_and_rank(np.asarray(points, float))[1]
 
 
 def _frame(pts):

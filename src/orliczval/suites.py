@@ -14,7 +14,6 @@ from .norms import indicator_norm, orlicz_norm
 from .polytopes import (
     Polytope,
     continuity_constraint_system,
-    convex_hull_2d,
     diagonal_unimodular,
     random_unimodular,
 )
@@ -68,8 +67,7 @@ def _random_box_pair(rng, dim):
 def _random_polygon_pair(rng):
     def one():
         pts = rng.uniform(-2.0, 2.0, size=(5, 2))
-        return SimpleFunction(2, [(rng.uniform(-2.0, 2.0),
-                                   Region([Polytope(convex_hull_2d(pts))]))])
+        return SimpleFunction(2, [(rng.uniform(-2.0, 2.0), Region([Polytope(pts)]))])
 
     return one(), one()
 

@@ -21,7 +21,7 @@ from .errors import (
     DomainError,
     WitnessNotFoundError,
 )
-from .functions import GridFunction, SimpleFunction, lattice_max_min
+from .functions import SimpleFunction, lattice_max_min
 from .norms import orlicz_norm
 from .numerics import solve_monotone
 from .polytopes import Polytope
@@ -144,8 +144,8 @@ class SigmoidComposer(Composer):
     def __init__(self, scale=1.0, rate=1.0, cphi_witness=None):
         scale = float(scale)
         rate = float(rate)
-        if scale <= 0.0 or rate <= 0.0:
-            raise DomainError("scale and rate must be positive")
+        if not (0.0 < scale < math.inf and 0.0 < rate < math.inf):
+            raise DomainError("scale and rate must be positive and finite")
         self.scale = scale
         self.rate = rate
         super().__init__(cphi_witness)
@@ -230,30 +230,10 @@ def psi(xi, h):
     return heights @ np.array([region.moment() for _, region in h.terms])
 
 
-def psi_quadrature(xi, grid):
-    """Moment vector of a composed grid function.
-
-    Cellwise exact for the piecewise-constant grid itself (each cell
-    moment is volume times center); approximation error enters only
-    through rasterization of whatever the grid represents.
-    """
-    if not isinstance(grid, GridFunction):
-        raise DomainError("psi_quadrature expects a GridFunction")
-    vals = np.asarray(xi(grid.flat_values()))
-    centers = grid.cell_centers()
-    return grid.cell_volume * (vals[:, None] * centers).sum(axis=0)
-
-
 def check_valuation_identity(xi, f, g):
     """Residual of the lattice identity on a refinable pair."""
     top, bottom = lattice_max_min(f, g)
     return psi(xi, top) + psi(xi, bottom) - psi(xi, f) - psi(xi, g)
-
-
-def check_sign_decomposition(xi, h):
-    """Residual of psi(h) = psi(h max 0) + psi(h min 0)."""
-    pos, neg = lattice_max_min(h, SimpleFunction.zero(h.dim))
-    return psi(xi, pos) + psi(xi, neg) - psi(xi, h)
 
 
 def _transform_function(h, theta):

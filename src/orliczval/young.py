@@ -26,7 +26,7 @@ with a sampled-density family:
 
 The conjugate is ``phi*(t) = integral_0^t sup{s : phi'(s) <= t} ds``;
 Young's inequality ``s*t <= phi(s) + phi*(t)`` holds with equality at
-``t = phi'(s)`` (see :func:`young_gap`).
+``t = phi'(s)`` (see :meth:`ConjugatePair.gap`).
 """
 
 from __future__ import annotations
@@ -117,10 +117,10 @@ class PowerYoung(YoungFunction):
     def __init__(self, p, scale=1.0):
         p = float(p)
         scale = float(scale)
-        if not p > 1.0:
-            raise InvalidDensityError(f"power family needs p > 1, got {p!r}")
-        if not scale > 0.0:
-            raise InvalidDensityError(f"scale must be positive, got {scale!r}")
+        if not 1.0 < p < math.inf:
+            raise InvalidDensityError(f"power family needs finite p > 1, got {p!r}")
+        if not 0.0 < scale < math.inf:
+            raise InvalidDensityError(f"scale must be positive and finite, got {scale!r}")
         self.p = p
         self.scale = scale
 
@@ -153,8 +153,8 @@ class ExpYoung(YoungFunction):
     def __init__(self, scale=1.0, rate=1.0):
         scale = float(scale)
         rate = float(rate)
-        if scale <= 0.0 or rate <= 0.0:
-            raise InvalidDensityError("scale and rate must be positive")
+        if not (0.0 < scale < math.inf and 0.0 < rate < math.inf):
+            raise InvalidDensityError("scale and rate must be positive and finite")
         self.scale = scale
         self.rate = rate
 
@@ -192,8 +192,8 @@ class LogYoung(YoungFunction):
     def __init__(self, scale=1.0, rate=1.0):
         scale = float(scale)
         rate = float(rate)
-        if scale <= 0.0 or rate <= 0.0:
-            raise InvalidDensityError("scale and rate must be positive")
+        if not (0.0 < scale < math.inf and 0.0 < rate < math.inf):
+            raise InvalidDensityError("scale and rate must be positive and finite")
         self.scale = scale
         self.rate = rate
 
@@ -233,8 +233,8 @@ class DensityYoung(YoungFunction):
     tail_slope : float, optional
         Slope of the density beyond the last sample.  Defaults to the
         slope of the last segment, falling back to the mean slope
-        ``d_m / s_m`` and finally to ``1.0``; must be positive so that
-        the density is unbounded.
+        ``d_m / s_m`` and finally to ``1.0``; must be positive, so that
+        the density is unbounded, and finite.
     """
 
     def __init__(self, samples, tail_slope=None):
@@ -258,8 +258,8 @@ class DensityYoung(YoungFunction):
             if tail_slope <= 0.0:
                 tail_slope = 1.0
         tail_slope = float(tail_slope)
-        if tail_slope <= 0.0:
-            raise InvalidDensityError("tail slope must be positive")
+        if not 0.0 < tail_slope < math.inf:
+            raise InvalidDensityError("tail slope must be positive and finite")
         self.samples = samples
         self.tail_slope = tail_slope
         # Exact integrals of the interpolant up to each sample point.
@@ -372,11 +372,6 @@ class ConjugatePair:
         ok = worst_neg >= -rel_tol and worst_eq <= rel_tol
         return {"ok": ok, "worst_negative_gap": worst_neg,
                 "worst_equality_gap": worst_eq}
-
-
-def young_gap(phi, s, t):
-    """Young-inequality gap ``phi(s) + phi*(t) - s*t``."""
-    return ConjugatePair(phi).gap(s, t)
 
 
 def delta2_report(phi, t_max=50.0):

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import orliczval
 from orliczval import regions
 from orliczval.cli import main
 from orliczval.functions import SimpleFunction
@@ -145,8 +146,7 @@ def test_suite_registry_names():
 
 
 def test_cli_young_conjugate(capsys):
-    rc, out, _ = run_cli(capsys, "young", "conjugate", "--family", "power",
-                         "--p", "3")
+    rc, out, _ = run_cli(capsys, "young", "conjugate", "--phi", "power:3")
     assert rc == 0
     doc = json.loads(out)
     assert doc["q"] == 1.5
@@ -154,14 +154,13 @@ def test_cli_young_conjugate(capsys):
 
 
 def test_cli_young_eval_zero(capsys):
-    rc, out, _ = run_cli(capsys, "young", "eval", "--family", "power",
-                         "--p", "2", "--t", "0")
+    rc, out, _ = run_cli(capsys, "young", "eval", "--phi", "power:2", "--t", "0")
     assert rc == 0
     assert json.loads(out)["value"] == 0.0
 
 
 def test_cli_young_delta2_exp(capsys):
-    rc, out, _ = run_cli(capsys, "young", "delta2", "--family", "exp")
+    rc, out, _ = run_cli(capsys, "young", "delta2", "--phi", "exp")
     assert rc == 0
     assert json.loads(out)["holds"] is False
 
@@ -375,6 +374,37 @@ def test_cli_bad_input_exit_codes(capsys):
     assert rc == 2
     with pytest.raises(SystemExit):
         main(["verify", "nosuchsuite"])
+
+
+def test_cli_rejects_non_finite_and_extra_gauge_fields(capsys):
+    # a NaN or infinite parameter, or a field past the last one a family
+    # takes, exits 2 with nothing on stdout
+    square = _simple(2, {"kind": "axis_box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]})
+    for argv in (("young", "eval", "--phi", "exp:nan", "--t", "1"),
+                 ("young", "eval", "--phi", "log:1:inf", "--t", "1"),
+                 ("norm", "--phi", "power:inf", "--indicator", "ball:1", "--dim", "2"),
+                 ("young", "eval", "--phi", "power:2:1:99", "--t", "1"),
+                 ("young", "eval", "--phi", "exp:1:2:3", "--t", "1"),
+                 ("psi", "--xi", "tanh:inf:1", "--simple", square),
+                 ("psi", "--xi", "tanh:1:2:3", "--simple", square)):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith("orliczval: "), argv
+
+
+def test_one_name_per_operation(capsys):
+    for name in ("check_sign_decomposition", "positive_negative_parts", "convex_hull_2d",
+                 "young_gap", "psi_quadrature"):
+        assert name not in orliczval.__all__ and not hasattr(orliczval, name), name
+    assert not hasattr(orliczval.polytopes, "affine_rank")
+    assert not hasattr(SimpleFunction, "is_zero")
+    # the gauge is named by --phi, as in every other subcommand
+    for argv in (("young", "eval", "--family", "power", "--p", "2", "--t", "0"),
+                 ("young", "eval", "--phi", "power:2", "--rate", "2", "--t", "0")):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2, argv
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_moment_rejects_an_empty_polytope(capsys):

@@ -26,7 +26,6 @@ from orliczval.functions import (
     SimpleFunction,
     difference,
     lattice_max_min,
-    positive_negative_parts,
     rasterize,
     refine,
 )
@@ -128,7 +127,7 @@ def test_simple_function_evaluate_selects_term_values():
     assert np.allclose(f.evaluate(pts), [2.0, -5.0, 0.0, 2.0])
     g = f.scale(-2.0)
     assert np.allclose(g.evaluate(pts), [-4.0, 10.0, 0.0, -4.0])
-    assert f.scale(0.0).is_zero
+    assert not f.scale(0.0).terms
 
 
 def test_simple_function_json_round_trip():
@@ -205,7 +204,7 @@ def test_refine_mixed_parts_names_fallback():
 
 def test_positive_negative_split():
     f = SimpleFunction(2, [(2.0, _ball(1.0)), (-3.0, _ring(1.0, 2.0))])
-    pos, neg = positive_negative_parts(f)
+    pos, neg = lattice_max_min(f, SimpleFunction.zero(2))
     pts = np.random.default_rng(3).uniform(-3, 3, size=(400, 2))
     assert np.all(pos.evaluate(pts) >= 0.0)
     assert np.all(neg.evaluate(pts) <= 0.0)

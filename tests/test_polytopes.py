@@ -10,10 +10,8 @@ from orliczval.regions import Region, cube_cover, part_contains, part_weighted_m
 from orliczval.polytopes import (
     PlanarCoefficients,
     Polytope,
-    affine_rank,
     cone_hull,
     continuity_constraint_system,
-    convex_hull_2d,
     diagonal_unimodular,
     edge_sum,
     planar_valuation,
@@ -109,7 +107,7 @@ def _mc_weighted_measure(v, rng, samples=400_000):
 
 def _random_polygon(rng, lo, hi, k=7):
     pts = lo + (hi - lo) * rng.random((k, 2))
-    return convex_hull_2d(pts)
+    return Polytope(pts).vertices
 
 
 # -- hulls and canonical form ---------------------------------------------
@@ -153,17 +151,17 @@ def test_duplicated_unsorted_degenerate_clouds():
     for pts, rank, want in cases:
         pts = np.array(pts)
         first = Polytope(pts)
-        assert first.rank == affine_rank(pts) == rank, pts
+        assert first.rank == rank, pts
         assert first.vertices.tolist() == want, pts
         for _ in range(6):
             again = Polytope(pts[rng.permutation(len(pts))])
             assert again == first and again.vertices.tolist() == want, pts
-    assert convex_hull_2d([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]).tolist() == \
+    assert Polytope([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]).vertices.tolist() == \
         [[0.0, 0.0], [1.0, 1.0]]
 
 
 def test_one_rank_rule_for_slivers_at_every_dyadic_scale():
-    # Polytope, affine_rank and convex_hull_2d read one rule, so a sliver
+    # the planar hull and the rank read one rule, so a sliver
     # near the flatness threshold (1e-12 of its extent) gets one answer,
     # whatever its scale and whether it is lifted into 3D
     for t in (0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0):
@@ -173,11 +171,9 @@ def test_one_rank_rule_for_slivers_at_every_dyadic_scale():
             for k in range(-40, 41):
                 pts = 2.0 ** k * base
                 poly = Polytope(pts)
-                hull = convex_hull_2d(pts)
                 lifted = Polytope(np.column_stack([pts, np.full(len(pts), 2.0 ** k)]))
-                assert poly.rank == affine_rank(pts) == len(hull) - 1 == lifted.rank, (t, k)
-                assert np.array_equal(poly.vertices, hull), (t, k)
-                assert np.array_equal(hull, 2.0 ** k * convex_hull_2d(base)), (t, k)
+                assert poly.rank == len(poly.vertices) - 1 == lifted.rank, (t, k)
+                assert np.array_equal(poly.vertices, 2.0 ** k * Polytope(base).vertices), (t, k)
                 answers.add(poly.rank)
             assert len(answers) == 1, (t, base)
         # the triangle's cross product is t * 1e-12 against eps = 1e-12
@@ -239,7 +235,7 @@ def test_small_polytopes_keep_their_rank_near_and_far_from_the_origin():
     u, v = np.array([1.0, 2.0, 2.0]) / 3.0, np.array([2.0, 1.0, -2.0]) / 3.0
     flat = np.outer(tet[:, 0], u) + np.outer(tet[:, 1], v)
     for s in (1.0, 1e-4, 1e-6):
-        assert affine_rank(1e4 + s * flat) == 2, s
+        assert Polytope(1e4 + s * flat).rank == 2, s
     # the planar hull's tolerance follows the points' extent, not unit scale
     p = Polytope(1e4 + 1e-6 * tet * [1.0, 1.0, 0.0])
     assert p.rank == 2 and len(p.vertices) == 3
@@ -499,8 +495,8 @@ def test_weighted_measure_within_roundoff_of_its_terms():
     rng = np.random.default_rng(2024)
     for _ in range(40):
         s = 10.0 ** rng.uniform(-4.0, 1.0)
-        v = convex_hull_2d(s * rng.standard_normal((int(rng.integers(3, 9)), 2))
-                           + rng.uniform(-5.0, 5.0, 2))
+        v = Polytope(s * rng.standard_normal((int(rng.integers(3, 9)), 2))
+                     + rng.uniform(-5.0, 5.0, 2)).vertices
         _assert_within_summation_bound(polygon_weighted_measure(v), _mp_edge_terms(v))
 
 
@@ -568,7 +564,7 @@ def test_visibility_matches_ray_oracle_origin_vertex():
         pts = pts[pts.sum(axis=1) >= 0.4]
         if len(pts) < 3:
             continue
-        v = convex_hull_2d(np.vstack([[0.0, 0.0], pts]))
+        v = Polytope(np.vstack([[0.0, 0.0], pts])).vertices
         p = Polytope(v)
         if p.origin_class() != "vertex" or len(v) < 4:
             continue
@@ -633,7 +629,7 @@ def _dyadic_polygons(count=24):
     rng = np.random.default_rng(61)
     out = []
     while len(out) < count:
-        v = convex_hull_2d(rng.integers(-64, 65, (int(rng.integers(3, 9)), 2)) / 16.0)
+        v = Polytope(rng.integers(-64, 65, (int(rng.integers(3, 9)), 2)) / 16.0).vertices
         if len(v) >= 3:
             out.append(v)
     return out

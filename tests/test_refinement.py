@@ -17,7 +17,6 @@ from orliczval.functions import (
     SimpleFunction,
     difference,
     lattice_max_min,
-    positive_negative_parts,
     refine,
 )
 from orliczval.polytopes import Polytope
@@ -173,7 +172,7 @@ def test_painted_cells_match_the_midpoint_reference(n):
 def test_touching_parts_meet_without_a_shared_cell():
     top, bottom = lattice_max_min(*_edge_pairs(2)[0])
     assert [r.lebesgue() for _, r in top.terms] == [1.0, 1.0]
-    assert bottom.is_zero
+    assert not bottom.terms
 
 
 # -- symmetric difference is the one-sided cells ---------------------------
@@ -285,8 +284,8 @@ def _function_pairs():
 def _lattice_results(f, g):
     """Each grouped result of (f, g) with its pointwise rule and value per cell."""
     top, bottom = lattice_max_min(f, g)
-    pos, neg = positive_negative_parts(f)
     zero = SimpleFunction.zero(f.dim)
+    pos, neg = lattice_max_min(f, zero)
     return [(top, f, g, np.maximum), (bottom, f, g, np.minimum),
             (difference(f, g), f, g, np.subtract),
             (pos, f, zero, np.maximum), (neg, f, zero, np.minimum)]

@@ -18,7 +18,7 @@ from orliczval.errors import (
     DomainError,
     WitnessNotFoundError,
 )
-from orliczval.functions import SimpleFunction, rasterize
+from orliczval.functions import SimpleFunction
 from orliczval.polytopes import Polytope, diagonal_unimodular, random_unimodular, shear
 from orliczval.regions import Annulus, AxisBox, OriginBall, Region, unit_ball_volume
 from orliczval.suites import _polytope_function
@@ -30,7 +30,6 @@ from orliczval.valuations import (
     build_divergence_plan,
     check_covariance,
     check_cphi,
-    check_sign_decomposition,
     check_valuation_identity,
     composer_from_json,
     continuity_probe,
@@ -38,7 +37,6 @@ from orliczval.valuations import (
     find_divergence_witnesses,
     identity_composer,
     psi,
-    psi_quadrature,
 )
 from orliczval.young import PowerYoung
 
@@ -110,6 +108,14 @@ def test_tabulated_composer_validation():
         TabulatedComposer([[0.0, 0.0], [0.0, 1.0]])  # not increasing
 
 
+def test_sigmoid_parameters_must_be_positive_and_finite():
+    for scale, rate in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(DomainError, match="finite"):
+            SigmoidComposer(scale, rate)
+        with pytest.raises(DomainError, match="finite"):
+            composer_from_json({"kind": "sigmoid", "scale": scale, "rate": rate})
+
+
 def test_growth_witness_certification():
     phi = PowerYoung(2.0)
     OddComposer(phi, cphi_witness=(1.0, phi))  # ratio is exactly 1
@@ -160,30 +166,6 @@ def test_psi_against_monte_carlo():
     assert np.all(np.abs(exact - est) < 4.0 * err + 1e-12)
 
 
-def test_psi_quadrature_grid_paths():
-    xi = PolynomialComposer([0.0, 1.0])
-    box = _box([0.0, 1.0], [2.0, 2.0])
-    f = SimpleFunction(2, [(3.0, box)])
-    grid = rasterize(f, (16, 16))
-    assert np.allclose(psi_quadrature(xi, grid), xi(3.0) * box.moment(),
-                       rtol=0, atol=1e-12)
-    zero_grid = rasterize(f, (4, 4))
-    zero_grid.values[:] = 0.0
-    assert np.array_equal(psi_quadrature(xi, zero_grid), np.zeros(2))
-
-
-def test_psi_quadrature_even_cancellation():
-    # An even function on an origin-symmetric grid composes to an even
-    # integrand, whose moment vector cancels to 0.
-    from orliczval.functions import GridFunction
-    m = 8
-    centers = np.linspace(-1.0 + 1.0 / m, 1.0 - 1.0 / m, m)
-    values = np.tile(np.abs(centers)[:, None], (1, m))
-    grid = GridFunction([-1.0, -1.0], [1.0, 1.0], values)
-    xi = PolynomialComposer([1.0, 0.0, 2.0])
-    assert np.max(np.abs(psi_quadrature(xi, grid))) < 1e-12
-
-
 def test_valuation_identity_trivial_and_disjoint():
     xi = PolynomialComposer([1.0, 2.0])
     f = SimpleFunction(2, [(2.0, _ball(1.0)), (1.0, _ring(2.0, 3.0))])
@@ -217,7 +199,8 @@ def test_sign_decomposition():
     xi = PolynomialComposer([1.0, 0.0, 1.0])
     h = SimpleFunction(2, [(2.5, _ball(1.0)), (-1.5, _ring(1.0, 2.0)),
                            (0.5, _ring(2.0, 3.0))])
-    assert np.max(np.abs(check_sign_decomposition(xi, h))) <= 1e-12
+    # psi(h) = psi(h max 0) + psi(h min 0): the lattice identity against 0
+    assert np.max(np.abs(check_valuation_identity(xi, h, SimpleFunction.zero(2)))) <= 1e-12
 
 
 def test_covariance_identity_and_shear():

@@ -20,7 +20,6 @@ from orliczval.young import (
     limit_report,
     _expm1_minus,
     young_from_json,
-    young_gap,
 )
 
 
@@ -148,8 +147,9 @@ def test_young_gap_nonnegative_and_tight_at_density():
 
 
 def test_young_gap_helper():
-    assert young_gap(PowerYoung(2.0), 3.0, 3.0) == 0.0
-    assert young_gap(PowerYoung(2.0), 3.0, 5.0) > 0.0
+    pair = ConjugatePair(PowerYoung(2.0))
+    assert pair.gap(3.0, 3.0) == 0.0
+    assert pair.gap(3.0, 5.0) > 0.0
 
 
 def test_biconjugation_is_identity():
@@ -225,6 +225,19 @@ def test_density_validation():
         PowerYoung(1.0)
     with pytest.raises(InvalidDensityError):
         ExpYoung(scale=-1.0)
+
+
+def test_every_parameter_must_be_positive_and_finite():
+    # NaN fails every comparison, so only a test of `0 < x < inf` (or
+    # `1 < p < inf`) turns away both NaN and inf
+    for bad in (math.nan, math.inf):
+        for make in (lambda x: PowerYoung(x), lambda x: PowerYoung(2.0, x),
+                     lambda x: ExpYoung(x), lambda x: ExpYoung(1.0, x),
+                     lambda x: LogYoung(x), lambda x: LogYoung(1.0, x),
+                     lambda x: DensityYoung([(0.0, 0.0), (1.0, 1.0)], tail_slope=x),
+                     lambda x: young_from_json({"family": "exp", "params": {"rate": x}})):
+            with pytest.raises(InvalidDensityError, match="finite"):
+                make(bad)
 
 
 def test_delta2_power_is_exact():
