@@ -35,8 +35,7 @@ from .valuations import (
     psi,
 )
 from .young import (
-    ExpYoung,
-    LogYoung,
+    _FAMILIES,
     PowerYoung,
     delta2_report,
     limit_report,
@@ -188,16 +187,12 @@ def _parse_phi(token):
     if token.strip().startswith("{") or os.path.exists(token):
         return young_from_json(_inline_or_file(token))
     name, _, rest = token.partition(":")
-    args = [float(x) for x in rest.split(":") if x] if rest else []
-    if name == "power":
-        if not args:
-            raise OrliczvalError("power family needs an exponent: power:p")
-        return PowerYoung(*args)
-    if name == "exp":
-        return ExpYoung(*args)
-    if name == "log":
-        return LogYoung(*args)
-    raise OrliczvalError(f"unknown Young shorthand {token!r}")
+    args = [float(x) for x in rest.split(":") if x]
+    if name not in _FAMILIES:
+        raise OrliczvalError(f"unknown Young shorthand {token!r}")
+    if name == "power" and not args:
+        raise OrliczvalError("power family needs an exponent: power:p")
+    return _FAMILIES[name](*args)
 
 
 def _parse_region(token, dim):

@@ -20,7 +20,7 @@ boxes and polygons are split against each other by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,42 +49,44 @@ from .polytopes import (
 _CHUNK_PAIRS = 1 << 17  # (point, box) pairs tested per numpy batch in contains
 
 
-class OriginBall:
+class _ScalarPart:
+    """A part given by scalar fields; its JSON is its kind and its fields."""
+
+    def to_json(self):
+        return {"kind": self._kind, **asdict(self)}
+
+
+@dataclass(eq=False)
+class OriginBall(_ScalarPart):
     """Closed ball of given radius centered at the origin."""
 
-    def __init__(self, dim, radius):
-        if dim < 2:
+    _kind = "origin_ball"
+    dim: int
+    radius: float
+
+    def __post_init__(self):
+        if self.dim < 2:
             raise DomainError("regions live in dimension >= 2")
-        if radius < 0 or not np.isfinite(radius):
+        if self.radius < 0 or not np.isfinite(self.radius):
             raise DomainError("radius must be finite and nonnegative")
-        self.dim = int(dim)
-        self.radius = float(radius)
-
-    def to_json(self):
-        return {"kind": "origin_ball", "dim": self.dim, "radius": self.radius}
-
-    def __repr__(self):
-        return f"OriginBall(dim={self.dim}, radius={self.radius})"
+        self.dim, self.radius = int(self.dim), float(self.radius)
 
 
-class Annulus:
+@dataclass(eq=False)
+class Annulus(_ScalarPart):
     """Half-open shell: inner <= |x| < outer."""
 
-    def __init__(self, dim, inner, outer):
-        if dim < 2:
+    _kind = "annulus"
+    dim: int
+    inner: float
+    outer: float
+
+    def __post_init__(self):
+        if self.dim < 2:
             raise DomainError("regions live in dimension >= 2")
-        if not (0 <= inner < outer) or not np.isfinite(outer):
+        if not (0 <= self.inner < self.outer) or not np.isfinite(self.outer):
             raise DomainError("need 0 <= inner < outer < infinity")
-        self.dim = int(dim)
-        self.inner = float(inner)
-        self.outer = float(outer)
-
-    def to_json(self):
-        return {"kind": "annulus", "dim": self.dim,
-                "inner": self.inner, "outer": self.outer}
-
-    def __repr__(self):
-        return f"Annulus(dim={self.dim}, inner={self.inner}, outer={self.outer})"
+        self.dim, self.inner, self.outer = int(self.dim), float(self.inner), float(self.outer)
 
 
 def _box_bounds(lo, hi, ndim):
@@ -123,31 +125,27 @@ class AxisBox:
         return f"AxisBox({self.lo.tolist()}, {self.hi.tolist()})"
 
 
-class ShiftedBall:
+@dataclass(eq=False)
+class ShiftedBall(_ScalarPart):
     """Ball of radius r centered at offset*e_1."""
 
-    def __init__(self, dim, radius, offset):
-        if dim < 2:
+    _kind = "shifted_ball"
+    dim: int
+    radius: float
+    offset: float
+
+    def __post_init__(self):
+        if self.dim < 2:
             raise DomainError("regions live in dimension >= 2")
-        if radius < 0 or not np.isfinite(radius) or not np.isfinite(offset):
+        if self.radius < 0 or not np.isfinite(self.radius) or not np.isfinite(self.offset):
             raise DomainError("radius and offset must be finite, radius >= 0")
-        self.dim = int(dim)
-        self.radius = float(radius)
-        self.offset = float(offset)
+        self.dim, self.radius, self.offset = int(self.dim), float(self.radius), float(self.offset)
 
     @property
     def center(self):
         c = np.zeros(self.dim)
         c[0] = self.offset
         return c
-
-    def to_json(self):
-        return {"kind": "shifted_ball", "dim": self.dim,
-                "radius": self.radius, "offset": self.offset}
-
-    def __repr__(self):
-        return (f"ShiftedBall(dim={self.dim}, radius={self.radius}, "
-                f"offset={self.offset})")
 
 
 _RADIAL = (OriginBall, Annulus)
@@ -263,19 +261,22 @@ def part_to_json(part):
     return part.to_json()
 
 
+# The parts whose JSON is their fields, by kind.
+_SCALAR_PARTS = {cls._kind: cls for cls in (OriginBall, Annulus, ShiftedBall)}
+
+
 def part_from_json(obj):
+    """Rebuild a part from its JSON; keys a part does not read are ignored."""
     kind = obj["kind"]
     if kind == "polytope":
         return Polytope(obj["vertices"])
-    if kind == "origin_ball":
-        return OriginBall(obj["dim"], obj["radius"])
-    if kind == "annulus":
-        return Annulus(obj["dim"], obj["inner"], obj["outer"])
     if kind == "axis_box":
         return AxisBox(obj["lo"], obj["hi"])
-    if kind == "shifted_ball":
-        return ShiftedBall(obj["dim"], obj["radius"], obj["offset"])
-    raise DomainError(f"unknown region part kind {kind!r}")
+    if kind not in _SCALAR_PARTS:
+        raise DomainError(f"unknown region part kind {kind!r}")
+    cls = _SCALAR_PARTS[kind]
+    # __match_args__ names a dataclass's fields in constructor order
+    return cls(*[obj[name] for name in cls.__match_args__])
 
 
 @dataclass(frozen=True)

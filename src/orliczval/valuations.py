@@ -32,12 +32,13 @@ from .regions import (
     radial_part,
     unit_ball_volume,
 )
+from .young import young_from_json
 
-# The growth checks' sample heights: the witness certificate and
-# check_cphi read the growth grid, the witness search the wider search
-# grid.  check_cphi reads a divergence off the last _TAIL ratios at
-# either end, and a plan doubles a ball's center at most _CENTER_RETRIES
-# times.
+# The growth checks' sample heights: check_cphi, the only growth
+# certificate, reads the growth grid, and the divergence witness search
+# the wider search grid.  check_cphi reads a divergence off the last
+# _TAIL ratios at either end, and a plan doubles a ball's center at most
+# _CENTER_RETRIES times.
 _GROWTH_GRID = np.geomspace(1e-6, 1e6, 241)
 _SEARCH_GRID = np.geomspace(1e-6, 1e12, 4001)
 _TAIL = 8
@@ -47,47 +48,17 @@ _CENTER_RETRIES = 60
 class Composer:
     """A continuous scalar reparametrisation with value 0 at 0.
 
-    Subclasses implement ``eval`` for scalar or array arguments on all
-    of the real line.  An optional ``cphi_witness = (lambda_bound,
-    phi)`` asserts the growth certificate |f(b)| <= lambda_bound *
-    phi(|b|); it is checked on a sign-symmetric sample grid at
-    construction time.
+    Subclasses implement ``_values`` on float arrays over the real line;
+    ``eval`` returns a float for a scalar.  :func:`check_cphi` alone
+    certifies the growth bound |xi(b)| <= lambda * phi(|b|).
     """
 
-    def __init__(self, cphi_witness=None):
-        if cphi_witness is not None:
-            lam, phi = cphi_witness
-            lam = float(lam)
-            if lam < 0.0:
-                raise DomainError("witness bound must be nonnegative")
-            cphi_witness = (lam, phi)
-        self.cphi_witness = cphi_witness
-        if cphi_witness is not None:
-            self.certify_witness()
-
     def eval(self, t):
-        raise NotImplementedError
+        out = self._values(np.asarray(t, float))
+        return float(out) if np.ndim(t) == 0 else out
 
     def __call__(self, t):
         return self.eval(t)
-
-    def certify_witness(self):
-        """Check the stored growth bound on the growth grid and its negation."""
-        if self.cphi_witness is None:
-            raise DomainError("no growth witness stored")
-        lam, phi = self.cphi_witness
-        grid = _GROWTH_GRID
-        bound = lam * np.asarray(phi.eval(grid))
-        for signed in (grid, -grid):
-            mag = np.abs(np.asarray(self.eval(signed)))
-            bad = mag > bound * (1.0 + 1e-12)
-            if np.any(bad):
-                b = float(signed[np.argmax(bad)])
-                raise DomainError(
-                    f"growth witness violated at beta = {b!r}: "
-                    f"|value| = {float(np.abs(self.eval(b)))!r} exceeds "
-                    f"bound {float(lam * phi.eval(abs(b)))!r}")
-        return True
 
     def to_json(self):
         raise NotImplementedError
@@ -96,17 +67,14 @@ class Composer:
 class PolynomialComposer(Composer):
     """Polynomial through the origin: coeffs are for degrees 1, 2, ..."""
 
-    def __init__(self, coeffs, cphi_witness=None):
+    def __init__(self, coeffs):
         coeffs = [float(c) for c in coeffs]
         if not coeffs or not all(math.isfinite(c) for c in coeffs):
             raise DomainError("need finite coefficients for degrees >= 1")
         self.coeffs = tuple(coeffs)
-        super().__init__(cphi_witness)
 
-    def eval(self, t):
-        arr = np.asarray(t, float)
-        out = np.polyval(np.append(self.coeffs[::-1], 0.0), arr)
-        return float(out) if np.ndim(t) == 0 else out
+    def _values(self, arr):
+        return np.polyval(np.append(self.coeffs[::-1], 0.0), arr)
 
     def to_json(self):
         return {"kind": "polynomial", "coeffs": list(self.coeffs)}
@@ -122,14 +90,11 @@ def identity_composer():
 class OddComposer(Composer):
     """Odd extension sign(t) * phi(|t|) of a Young function."""
 
-    def __init__(self, phi, cphi_witness=None):
+    def __init__(self, phi):
         self.phi = phi
-        super().__init__(cphi_witness)
 
-    def eval(self, t):
-        arr = np.asarray(t, float)
-        out = np.sign(arr) * np.asarray(self.phi.eval(np.abs(arr)))
-        return float(out) if np.ndim(t) == 0 else out
+    def _values(self, arr):
+        return np.sign(arr) * np.asarray(self.phi.eval(np.abs(arr)))
 
     def to_json(self):
         return {"kind": "odd", "phi": self.phi.to_json()}
@@ -138,28 +103,23 @@ class OddComposer(Composer):
         return f"OddComposer({self.phi!r})"
 
 
+@dataclass(eq=False)
 class SigmoidComposer(Composer):
     """Bounded odd sigmoid scale * tanh(rate * t)."""
 
-    def __init__(self, scale=1.0, rate=1.0, cphi_witness=None):
-        scale = float(scale)
-        rate = float(rate)
-        if not (0.0 < scale < math.inf and 0.0 < rate < math.inf):
-            raise DomainError("scale and rate must be positive and finite")
-        self.scale = scale
-        self.rate = rate
-        super().__init__(cphi_witness)
+    scale: float = 1.0
+    rate: float = 1.0
 
-    def eval(self, t):
-        arr = np.asarray(t, float)
-        out = self.scale * np.tanh(self.rate * arr)
-        return float(out) if np.ndim(t) == 0 else out
+    def __post_init__(self):
+        self.scale, self.rate = float(self.scale), float(self.rate)
+        if not (0.0 < self.scale < math.inf and 0.0 < self.rate < math.inf):
+            raise DomainError("scale and rate must be positive and finite")
+
+    def _values(self, arr):
+        return self.scale * np.tanh(self.rate * arr)
 
     def to_json(self):
         return {"kind": "sigmoid", "scale": self.scale, "rate": self.rate}
-
-    def __repr__(self):
-        return f"SigmoidComposer(scale={self.scale!r}, rate={self.rate!r})"
 
 
 class TabulatedComposer(Composer):
@@ -170,7 +130,7 @@ class TabulatedComposer(Composer):
     function continuous everywhere.
     """
 
-    def __init__(self, samples, cphi_witness=None):
+    def __init__(self, samples):
         samples = np.asarray(samples, float)
         if samples.ndim != 2 or samples.shape[1] != 2 or len(samples) < 2:
             raise DomainError("need an (m, 2) sample table with m >= 2")
@@ -186,16 +146,13 @@ class TabulatedComposer(Composer):
         self.samples = samples
         self._slope_lo = (samples[1, 1] - samples[0, 1]) / (t[1] - t[0])
         self._slope_hi = (samples[-1, 1] - samples[-2, 1]) / (t[-1] - t[-2])
-        super().__init__(cphi_witness)
 
-    def eval(self, t):
-        arr = np.asarray(t, float)
+    def _values(self, arr):
         ts, vs = self.samples[:, 0], self.samples[:, 1]
         inner = np.interp(arr, ts, vs)
         below = vs[0] + self._slope_lo * (arr - ts[0])
         above = vs[-1] + self._slope_hi * (arr - ts[-1])
-        out = np.where(arr < ts[0], below, np.where(arr > ts[-1], above, inner))
-        return float(out) if np.ndim(t) == 0 else out
+        return np.where(arr < ts[0], below, np.where(arr > ts[-1], above, inner))
 
     def to_json(self):
         return {"kind": "tabulated", "samples": self.samples.tolist()}
@@ -205,8 +162,6 @@ class TabulatedComposer(Composer):
 
 
 def composer_from_json(obj):
-    from .young import young_from_json
-
     kind = obj["kind"]
     if kind == "polynomial":
         return PolynomialComposer(obj["coeffs"])

@@ -32,6 +32,7 @@ Young's inequality ``s*t <= phi(s) + phi*(t)`` holds with equality at
 from __future__ import annotations
 
 import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,8 +46,8 @@ from .numerics import solve_monotone
 
 def _as_nonnegative(t):
     arr = np.asarray(t, dtype=float)
-    # fmin skips NaN, so this is np.any(arr < 0) in a third of the time
-    if np.fmin.reduce(arr, axis=None, initial=0.0) < 0.0:
+    # minimum keeps NaN, so this rejects NaN along with every t < 0
+    if not np.minimum.reduce(arr, axis=None, initial=0.0) >= 0.0:
         raise DomainError("Young functions are defined for t >= 0")
     return arr
 
@@ -108,55 +109,63 @@ class YoungFunction:
         return solve_monotone(self.eval, y, lo=0.0, rel_tol=rel_tol)
 
     def to_json(self):
-        raise NotImplementedError
+        """The closed-form families' JSON: their name and their fields."""
+        return {"family": self._family, "params": asdict(self)}
 
 
+@dataclass
 class PowerYoung(YoungFunction):
     """``phi(t) = scale * t**p / p`` for ``p > 1``, ``scale > 0``."""
 
-    def __init__(self, p, scale=1.0):
-        p = float(p)
-        scale = float(scale)
-        if not 1.0 < p < math.inf:
-            raise InvalidDensityError(f"power family needs finite p > 1, got {p!r}")
-        if not 0.0 < scale < math.inf:
-            raise InvalidDensityError(f"scale must be positive and finite, got {scale!r}")
-        self.p = p
-        self.scale = scale
+    _family = "power"
+    p: float
+    scale: float = 1.0
+
+    def __post_init__(self):
+        self.p, self.scale = float(self.p), float(self.scale)
+        if not 1.0 < self.p < math.inf:
+            raise InvalidDensityError(f"power family needs finite p > 1, got {self.p!r}")
+        if not 0.0 < self.scale < math.inf:
+            raise InvalidDensityError(f"scale must be positive and finite, got {self.scale!r}")
 
     def eval(self, t):
         arr = _as_nonnegative(t)
-        return _scalar_like(t, self.scale * arr ** self.p / self.p)
+        with np.errstate(over="ignore"):
+            return _scalar_like(t, self.scale * arr ** self.p / self.p)
 
     def density(self, s):
         arr = _as_nonnegative(s)
-        return _scalar_like(s, self.scale * arr ** (self.p - 1.0))
+        with np.errstate(over="ignore"):
+            return _scalar_like(s, self.scale * arr ** (self.p - 1.0))
 
     def conjugate(self):
         q = self.p / (self.p - 1.0)
         return PowerYoung(q, self.scale ** (1.0 - q))
 
-    def to_json(self):
-        return {"family": "power", "params": {"p": self.p, "scale": self.scale}}
 
-    def __repr__(self):
-        return f"PowerYoung(p={self.p!r}, scale={self.scale!r})"
+@dataclass
+class _ScaleRate(YoungFunction):
+    """The ``(scale, rate)`` parameters that ``ExpYoung`` and ``LogYoung`` share."""
 
-    def __eq__(self, other):
-        return (isinstance(other, PowerYoung)
-                and self.p == other.p and self.scale == other.scale)
+    scale: float = 1.0
+    rate: float = 1.0
+
+    def __post_init__(self):
+        self.scale, self.rate = float(self.scale), float(self.rate)
+        if not (0.0 < self.scale < math.inf and 0.0 < self.rate < math.inf):
+            raise InvalidDensityError("scale and rate must be positive and finite")
+
+    def _conjugate_rate(self):
+        """``1 / (scale * rate)``, the rate of the conjugate family."""
+        if self.scale * self.rate == 0.0:
+            raise DomainError(f"{self!r} has no conjugate: scale * rate underflows to 0")
+        return 1.0 / (self.scale * self.rate)
 
 
-class ExpYoung(YoungFunction):
+class ExpYoung(_ScaleRate):
     """``phi(t) = scale * (exp(rate*t) - rate*t - 1)``."""
 
-    def __init__(self, scale=1.0, rate=1.0):
-        scale = float(scale)
-        rate = float(rate)
-        if not (0.0 < scale < math.inf and 0.0 < rate < math.inf):
-            raise InvalidDensityError("scale and rate must be positive and finite")
-        self.scale = scale
-        self.rate = rate
+    _family = "exp"
 
     def eval(self, t):
         arr = _as_nonnegative(t)
@@ -165,37 +174,20 @@ class ExpYoung(YoungFunction):
     def density(self, s):
         arr = _as_nonnegative(s)
         with np.errstate(over="ignore"):
-            out = self.scale * self.rate * np.expm1(self.rate * arr)
-        return _scalar_like(s, out)
+            return _scalar_like(s, self.scale * self.rate * np.expm1(self.rate * arr))
 
     def conjugate(self):
-        return LogYoung(self.scale, 1.0 / (self.scale * self.rate))
-
-    def to_json(self):
-        return {"family": "exp", "params": {"scale": self.scale, "rate": self.rate}}
-
-    def __repr__(self):
-        return f"ExpYoung(scale={self.scale!r}, rate={self.rate!r})"
-
-    def __eq__(self, other):
-        return (isinstance(other, ExpYoung)
-                and self.scale == other.scale and self.rate == other.rate)
+        return LogYoung(self.scale, self._conjugate_rate())
 
 
-class LogYoung(YoungFunction):
+class LogYoung(_ScaleRate):
     """``phi(t) = scale * ((1 + rate*t) * log1p(rate*t) - rate*t)``.
 
     Closed under conjugation with :class:`ExpYoung`: the conjugate of
     ``LogYoung(a, b)`` is ``ExpYoung(a, 1/(a*b))`` and vice versa.
     """
 
-    def __init__(self, scale=1.0, rate=1.0):
-        scale = float(scale)
-        rate = float(rate)
-        if not (0.0 < scale < math.inf and 0.0 < rate < math.inf):
-            raise InvalidDensityError("scale and rate must be positive and finite")
-        self.scale = scale
-        self.rate = rate
+    _family = "log"
 
     def eval(self, t):
         # (1 + u) log1p(u) - u = (1 + u) (expm1(-l) + l) with l = log1p(u)
@@ -205,21 +197,10 @@ class LogYoung(YoungFunction):
 
     def density(self, s):
         arr = _as_nonnegative(s)
-        out = self.scale * self.rate * np.log1p(self.rate * arr)
-        return _scalar_like(s, out)
+        return _scalar_like(s, self.scale * self.rate * np.log1p(self.rate * arr))
 
     def conjugate(self):
-        return ExpYoung(self.scale, 1.0 / (self.scale * self.rate))
-
-    def to_json(self):
-        return {"family": "log", "params": {"scale": self.scale, "rate": self.rate}}
-
-    def __repr__(self):
-        return f"LogYoung(scale={self.scale!r}, rate={self.rate!r})"
-
-    def __eq__(self, other):
-        return (isinstance(other, LogYoung)
-                and self.scale == other.scale and self.rate == other.rate)
+        return ExpYoung(self.scale, self._conjugate_rate())
 
 
 class DensityYoung(YoungFunction):
@@ -321,19 +302,18 @@ class DensityYoung(YoungFunction):
                 and self.tail_slope == other.tail_slope)
 
 
+# The closed-form families by name, for their JSON and the CLI's ``--phi``.
+_FAMILIES = {cls._family: cls for cls in (PowerYoung, ExpYoung, LogYoung)}
+
+
 def young_from_json(obj):
     """Rebuild a Young function from its JSON form."""
     if "density" in obj:
         return DensityYoung(obj["density"], obj.get("tail_slope"))
     family = obj["family"]
-    params = obj.get("params", {})
-    if family == "power":
-        return PowerYoung(**params)
-    if family == "exp":
-        return ExpYoung(**params)
-    if family == "log":
-        return LogYoung(**params)
-    raise DomainError(f"unknown Young family {family!r}")
+    if family not in _FAMILIES:
+        raise DomainError(f"unknown Young family {family!r}")
+    return _FAMILIES[family](**obj.get("params", {}))
 
 
 class ConjugatePair:

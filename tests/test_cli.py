@@ -11,10 +11,10 @@ import pytest
 
 import orliczval
 from orliczval import regions
-from orliczval.cli import main
+from orliczval.cli import _parse_phi, main
 from orliczval.functions import SimpleFunction
 from orliczval.polytopes import Polytope
-from orliczval.regions import Annulus, Region
+from orliczval.regions import Annulus, OriginBall, Region, ShiftedBall
 from orliczval.suites import (
     SUITES,
     suite_constraint_system,
@@ -27,12 +27,14 @@ from orliczval.suites import (
 )
 from orliczval.valuations import (
     PolynomialComposer,
+    SigmoidComposer,
     _ball_ledger,
     build_divergence_plan,
+    composer_from_json,
     divergent_truncation,
     psi,
 )
-from orliczval.young import PowerYoung
+from orliczval.young import ExpYoung, LogYoung, PowerYoung, young_from_json
 
 # indicator of the unit disk: mu = 2*pi/3, phi = t^2/2
 DISK_MU = 2.0 * math.pi / 3.0
@@ -390,6 +392,47 @@ def test_cli_rejects_non_finite_and_extra_gauge_fields(capsys):
         rc, out, err = run_cli(capsys, *argv)
         assert (rc, out) == (2, ""), argv
         assert err.startswith("orliczval: "), argv
+
+
+def test_cli_rejects_nan_and_underflowing_gauge_input(capsys):
+    for argv in (("young", "eval", "--phi", "power:2", "--t", "nan"),
+                 ("young", "conjugate", "--phi", "exp:1e-300:1e-300"),
+                 ("young", "conjugate", "--phi", "log:1e-300:1e-300")):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith("orliczval: ") and "Traceback" not in err, argv
+    # an overflowing power is inf, with nothing on stderr
+    rc, out, err = run_cli(capsys, "young", "eval", "--phi", "power:1e308", "--t", "2")
+    assert (rc, err) == (0, "") and json.loads(out)["value"] == "inf"
+
+
+def test_value_types_of_every_closed_form_family():
+    # gauges: generated repr, equal by value, unhashable; JSON and --phi agree
+    gauges = [("power:2.5:3", PowerYoung(2.5, 3.0), "PowerYoung(p=2.5, scale=3.0)"),
+              ("exp:2:0.5", ExpYoung(2.0, 0.5), "ExpYoung(scale=2.0, rate=0.5)"),
+              ("log", LogYoung(), "LogYoung(scale=1.0, rate=1.0)")]
+    for token, phi, text in gauges:
+        assert repr(phi) == text
+        assert young_from_json(phi.to_json()) == phi == _parse_phi(token)
+        assert _parse_phi(json.dumps(phi.to_json())) == phi
+        with pytest.raises(TypeError):
+            hash(phi)
+    assert ExpYoung(2.0, 0.5) != LogYoung(2.0, 0.5) and PowerYoung(2) != PowerYoung(3)
+    assert PowerYoung(2).to_json() == {"family": "power", "params": {"p": 2.0, "scale": 1.0}}
+    # parts and the sigmoid composer: generated repr, equal by identity, hashable
+    parts = [(OriginBall(2, 1), "OriginBall(dim=2, radius=1.0)"),
+             (Annulus(3, 0.5, 2), "Annulus(dim=3, inner=0.5, outer=2.0)"),
+             (ShiftedBall(2, 0.25, 3), "ShiftedBall(dim=2, radius=0.25, offset=3.0)")]
+    for part, text in parts:
+        assert repr(part) == text
+        back = regions.part_from_json({**part.to_json(), "note": "ignored"})
+        assert repr(back) == text and back.to_json() == part.to_json()
+        assert back != part and len({part, back, part}) == 2
+    assert parts[0][0].to_json() == {"kind": "origin_ball", "dim": 2, "radius": 1.0}
+    xi = SigmoidComposer(1.5, 0.7)
+    back = composer_from_json(xi.to_json())
+    assert repr(xi) == repr(back) == "SigmoidComposer(scale=1.5, rate=0.7)"
+    assert back != xi and len({xi, back, xi}) == 2
 
 
 def test_one_name_per_operation(capsys):

@@ -118,10 +118,13 @@ def test_sigmoid_parameters_must_be_positive_and_finite():
 
 def test_growth_witness_certification():
     phi = PowerYoung(2.0)
-    OddComposer(phi, cphi_witness=(1.0, phi))  # ratio is exactly 1
-    with pytest.raises(DomainError):
-        # Linear growth beats any multiple of t**2/2 near zero.
-        PolynomialComposer([1.0], cphi_witness=(5.0, phi))
+    report = check_cphi(OddComposer(phi), phi)  # ratio is exactly 1
+    assert report["certified_on_grid"] and report["sup_ratio"] == 1.0
+    # Linear growth beats any multiple of t**2/2 near zero.
+    report = check_cphi(PolynomialComposer([1.0]), phi)
+    assert report["diverges_small_end"] and report["sup_ratio"] > 5.0
+    with pytest.raises(TypeError):  # check_cphi is the only certificate
+        OddComposer(phi, cphi_witness=(1.0, phi))
 
 
 def test_composer_json_round_trips():

@@ -296,6 +296,31 @@ def test_negative_arguments_rejected():
         phi.inverse(-2.0)
 
 
+def test_nan_arguments_rejected():
+    for phi in (PowerYoung(2.0), ExpYoung(), LogYoung(),
+                DensityYoung([(0.0, 0.0), (1.0, 1.0)])):
+        for f in (phi.eval, phi.density):
+            with pytest.raises(DomainError):
+                f(math.nan)
+            with pytest.raises(DomainError):
+                f(np.array([1.0, math.nan]))
+
+
+def test_power_overflow_is_inf_without_a_warning():
+    # the suite turns RuntimeWarnings into errors (see pyproject.toml)
+    assert PowerYoung(1e308).eval(2.0) == math.inf
+    assert PowerYoung(1e308).density(2.0) == math.inf
+
+
+def test_conjugate_rate_underflow_is_a_domain_error():
+    for phi in (ExpYoung(1e-300, 1e-300), LogYoung(1e-300, 1e-300)):
+        with pytest.raises(DomainError):
+            phi.conjugate()
+    # every other input keeps 1 / (scale * rate), rounded once
+    assert ExpYoung(3.0, 7.0).conjugate().rate == 1.0 / (3.0 * 7.0)
+    assert LogYoung(3.0, 7.0).conjugate().rate == 1.0 / (3.0 * 7.0)
+
+
 def test_every_family_is_infinite_at_infinity_without_warnings():
     # an all-zero sample table and a zero second-to-last sample used to
     # multiply 0 by inf, and ExpYoung took inf - inf
