@@ -1,21 +1,24 @@
 """Command-line front end.
 
-Subcommands: young, norm, moment, psi, counterexample, verify.  Every
-numeric value is serialized with 17 significant digits so identical
-inputs produce byte-identical output.  A flat key=value config file
-supplies defaults (path from --config or the ORLICZVAL_CONFIG
-environment variable); explicit flags win over the file.
+Subcommands: young, norm, moment, psi, counterexample, verify.  JSON
+reports print each float as its shortest round-trip repr and CSV cells
+as %.17g, so identical inputs produce byte-identical output.  A flat
+key=value config file supplies defaults (path from --config or the
+ORLICZVAL_CONFIG environment variable); explicit flags win over the
+file.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -45,19 +48,37 @@ from . import suites as _suites
 
 ENV_CONFIG = "ORLICZVAL_CONFIG"
 
-_DEFAULTS = {
-    "format": "json",
-    "out": None,
-    "seed": None,
-    "tol-quad": 1e-9,
-    "tol-residual": 1e-9,
-    "tol-root": 1e-12,
-}
-
 # cube_cover's time and memory are linear in its 2^depth grid columns, and
 # the continuity suite builds every depth up to the last: depth 16 takes
 # about 0.8 s and 0.12 GB, and each further level doubles both.
 _MAX_DEPTH = 16
+
+
+# Every common option, once: (type, default, help, choices, the verify suite
+# parameter it sets).  Its flag and its config-file key are its name.
+_Option = namedtuple("_Option", "type default help choices param",
+                     defaults=(None, None, None))
+_OPTIONS = {
+    "seed": _Option(int, None, param="seed"),
+    "out": _Option(str, None, "write the evidence table here"),
+    "format": _Option(str, "json", choices=("json", "csv")),
+    "tol-quad": _Option(float, 1e-9, "absolute quadrature tolerance"),
+    "tol-residual": _Option(float, 1e-9, "identity residual threshold", param="residual_max"),
+    "tol-root": _Option(float, 1e-12, "relative tolerance of the norm root solves"),
+}
+
+# Every verify flag, once: (the suite parameter it sets, help, its bounds).
+# A flag reaches the suites whose signature takes that parameter.
+_VerifyFlag = namedtuple("_VerifyFlag", "param help low high",
+                         defaults=(math.inf,))
+_VERIFY_FLAGS = {
+    "pairs": _VerifyFlag("pairs", "valuation suite size", 1),
+    "maps": _VerifyFlag("count", "covariance suite size", 1),
+    "cases": _VerifyFlag("cases", "lemma3 suite size", 1),
+    "J": _VerifyFlag("terms", "lemma15 term count", 1),
+    "depth": _VerifyFlag("depth", f"continuity cover depth, 0 to {_MAX_DEPTH} (default 12)",
+                         0, _MAX_DEPTH),
+}
 
 
 def _load_config(path):
@@ -76,23 +97,28 @@ def _load_config(path):
     return values
 
 
-class Settings:
-    """Merged option lookup: CLI flag, then config file, then default."""
+def _resolve_options(ns):
+    """Fill each common option into ``ns``: flag, else config file, else default."""
+    path = getattr(ns, "config", None) or os.environ.get(ENV_CONFIG)
+    file = _load_config(path) if path else {}
+    for name, option in _OPTIONS.items():
+        attr = name.replace("-", "_")
+        if getattr(ns, attr) is None:
+            value = file.get(name, option.default)
+            setattr(ns, attr, value if value is None else option.type(value))
+    for name in ("tol-quad", "tol-root"):
+        if not 0.0 < getattr(ns, name.replace("-", "_")) < math.inf:
+            raise OrliczvalError(f"--{name} must be a positive finite number")
+    if ns.format not in _OPTIONS["format"].choices:
+        raise OrliczvalError(f"unknown format {ns.format!r} (use json or csv)")
 
-    def __init__(self, ns):
-        self.ns = ns
-        path = getattr(ns, "config", None) or os.environ.get(ENV_CONFIG)
-        self.file = _load_config(path) if path and os.path.exists(path) else {}
-        for key in ("tol-quad", "tol-root"):  # from any source
-            if not 0.0 < self.get(key, float) < math.inf:
-                raise OrliczvalError(f"--{key} must be a positive finite number")
 
-    def get(self, key, cast=str):
-        flag = getattr(self.ns, key.replace("-", "_"), None)
-        if flag is not None:
-            return flag
-        value = self.file.get(key, _DEFAULTS.get(key))
-        return value if value is None else cast(value)
+def _check_size(flag, value):
+    _, _, low, high = _VERIFY_FLAGS[flag]
+    if not low <= value <= high:
+        bound = f"lie in {low}..{high}" if high < math.inf else f"be at least {low}"
+        raise OrliczvalError(f"--{flag} must {bound}, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +126,7 @@ class Settings:
 
 
 def _plain(obj):
-    """Recursively coerce to JSON-ready types with %.17g floats."""
+    """Recursively coerce to JSON-ready types; non-finite floats become strings."""
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -115,13 +141,8 @@ def _plain(obj):
         f = float(obj)
         if not math.isfinite(f):
             return "inf" if f > 0 else ("-inf" if f < 0 else "nan")
-        return _Float17(f)
+        return f
     return obj
-
-
-class _Float17(float):
-    def __repr__(self):
-        return "%.17g" % float(self)
 
 
 def _dump_json(obj):
@@ -149,12 +170,9 @@ def _dump_csv(rows):
     return buf.getvalue()
 
 
-def _emit(report, rows, settings):
+def _emit(report, rows, ns):
     """Print the report; route the evidence table per format/out."""
-    fmt = settings.get("format")
-    out = settings.get("out")
-    if fmt not in ("json", "csv"):
-        raise OrliczvalError(f"unknown format {fmt!r} (use json or csv)")
+    fmt, out = ns.format, ns.out
     if out:
         table = _dump_csv(rows) if fmt == "csv" else _dump_json(rows)
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -174,18 +192,21 @@ def _emit(report, rows, settings):
 # shorthand parsers
 
 
-def _inline_or_file(token):
-    token = token.strip()
-    if token.startswith("{") or token.startswith("["):
-        return json.loads(token)
-    with open(token, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _read_spec(token, from_json, shorthand=True):
+    """Inline JSON, else a JSON file; None leaves the token to a shorthand."""
+    text = token.strip()
+    if text.startswith(("{", "[")):
+        return from_json(json.loads(text))
+    if shorthand and not os.path.exists(text):
+        return None
+    with open(text, "r", encoding="utf-8") as fh:
+        return from_json(json.load(fh))
 
 
 def _parse_phi(token):
     """power:p[:scale] | exp[:scale[:rate]] | log[:scale[:rate]] | JSON."""
-    if token.strip().startswith("{") or os.path.exists(token):
-        return young_from_json(_inline_or_file(token))
+    if (phi := _read_spec(token, young_from_json)) is not None:
+        return phi
     name, _, rest = token.partition(":")
     args = [float(x) for x in rest.split(":") if x]
     if name not in _FAMILIES:
@@ -197,16 +218,14 @@ def _parse_phi(token):
 
 def _parse_region(token, dim):
     """ball:r | annulus:a:b | box:lo1,lo2,..:hi1,hi2,.. | JSON."""
-    if token.strip().startswith("{") or os.path.exists(token):
-        return Region.from_json(_inline_or_file(token))
+    if (region := _read_spec(token, Region.from_json)) is not None:
+        return region
     name, _, rest = token.partition(":")
+    if name in ("ball", "annulus") and dim is None:
+        raise OrliczvalError("ball/annulus shorthand needs --dim")
     if name == "ball":
-        if dim is None:
-            raise OrliczvalError("ball/annulus shorthand needs --dim")
         return Region([OriginBall(dim, float(rest))])
     if name == "annulus":
-        if dim is None:
-            raise OrliczvalError("ball/annulus shorthand needs --dim")
         a, b = (float(x) for x in rest.split(":"))
         return Region([Annulus(dim, a, b)])
     if name == "box":
@@ -219,8 +238,8 @@ def _parse_region(token, dim):
 
 def _parse_xi(token):
     """identity | poly:c1,c2,.. | odd:<phi> | tanh:scale:rate | JSON."""
-    if token.strip().startswith("{") or os.path.exists(token):
-        return composer_from_json(_inline_or_file(token))
+    if (xi := _read_spec(token, composer_from_json)) is not None:
+        return xi
     if token == "identity":
         return identity_composer()
     name, _, rest = token.partition(":")
@@ -235,7 +254,7 @@ def _parse_xi(token):
 
 
 def _parse_simple(token):
-    h = SimpleFunction.from_json(_inline_or_file(token))
+    h = _read_spec(token, SimpleFunction.from_json, shorthand=False)
     h.check_disjoint()  # the library trusts its terms to be disjoint
     return h
 
@@ -244,7 +263,7 @@ def _parse_simple(token):
 # subcommands
 
 
-def cmd_young(ns, settings):
+def cmd_young(ns):
     phi = _parse_phi(ns.phi)
     if ns.mode == "eval":
         if ns.t is None:
@@ -262,14 +281,13 @@ def cmd_young(ns, settings):
     else:
         report = {"input": phi.to_json()}
         report.update(limit_report(phi))
-    _emit(report, [], settings)
+    _emit(report, [], ns)
     return 0
 
 
-def cmd_norm(ns, settings):
+def cmd_norm(ns):
     phi = _parse_phi(ns.phi)
-    abs_tol = settings.get("tol-quad", float)
-    rel_tol = settings.get("tol-root", float)
+    abs_tol, rel_tol = ns.tol_quad, ns.tol_root
     if ns.simple is not None:
         h = _parse_simple(ns.simple)
     elif ns.indicator is not None:
@@ -282,32 +300,31 @@ def cmd_norm(ns, settings):
         "orlicz": orlicz_norm(phi, h, rel_tol=rel_tol, abs_tol=abs_tol),
         "modular": modular(phi, h, abs_tol=abs_tol),
     }
-    _emit(report, [], settings)
+    _emit(report, [], ns)
     return 0
 
 
-def cmd_moment(ns, settings):
+def cmd_moment(ns):
     if ns.poly is not None:
-        poly = Polytope(_inline_or_file(ns.poly))
+        poly = _read_spec(ns.poly, Polytope, shorthand=False)
         vec = polytope_moment(poly)
         report = {"dim": poly.dim, "moment": vec}
     elif ns.region is not None:
         region = _parse_region(ns.region, ns.dim)
         report = {"dim": region.dim, "moment": region.moment(),
                   "lebesgue": region.lebesgue(),
-                  "weighted_measure": region.weighted_measure(
-                      settings.get("tol-quad", float)).value}
+                  "weighted_measure": region.weighted_measure(ns.tol_quad).value}
     else:
         raise OrliczvalError("give --poly or --region")
-    _emit(report, [], settings)
+    _emit(report, [], ns)
     return 0
 
 
-def cmd_psi(ns, settings):
+def cmd_psi(ns):
     xi = _parse_xi(ns.xi)
     h = _parse_simple(ns.simple)
     vec = psi(xi, h)
-    _emit({"dim": h.dim, "psi": vec}, [], settings)
+    _emit({"dim": h.dim, "psi": vec}, [], ns)
     return 0
 
 
@@ -317,10 +334,10 @@ _COUNTEREXAMPLE_COLUMNS = ("j", "exponent", "beta", "center", "radius",
                            "running_moment", "running_lower_bound")
 
 
-def cmd_counterexample(ns, settings):
+def cmd_counterexample(ns):
     phi = _parse_phi(ns.phi)
     xi = _parse_xi(ns.xi)
-    plan = build_divergence_plan(xi, phi, ns.J, dim=ns.dim)
+    plan = build_divergence_plan(xi, phi, _check_size("J", ns.J), dim=ns.dim)
     result = divergent_truncation(plan, ns.J)
     report = {"terms": ns.J, "dim": ns.dim, "sign": result["sign"],
               "modular": result["modular"],
@@ -328,40 +345,8 @@ def cmd_counterexample(ns, settings):
               "first_moment": result["first_moment"],
               "lower_bound": result["lower_bound"]}
     _emit(report, [{k: row[k] for k in _COUNTEREXAMPLE_COLUMNS}
-                   for row in result["rows"]], settings)
+                   for row in result["rows"]], ns)
     return 0
-
-
-def _suite_kwargs(name, ns, settings):
-    seed = settings.get("seed", int)
-    kwargs = {}
-    if name == "valuation":
-        if ns.pairs is not None:
-            kwargs["pairs"] = ns.pairs
-        if seed is not None:
-            kwargs["seed"] = seed
-        kwargs["residual_max"] = settings.get("tol-residual", float)
-    elif name == "covariance":
-        if ns.maps is not None:
-            kwargs["count"] = ns.maps
-        if seed is not None:
-            kwargs["seed"] = seed
-        kwargs["residual_max"] = settings.get("tol-residual", float)
-    elif name == "lemma3":
-        if ns.cases is not None:
-            kwargs["cases"] = ns.cases
-        if seed is not None:
-            kwargs["seed"] = seed
-    elif name == "lemma15":
-        if ns.J is not None:
-            kwargs["terms"] = ns.J
-    elif name == "continuity":
-        if ns.depth is not None:
-            if not 0 <= ns.depth <= _MAX_DEPTH:
-                raise OrliczvalError(
-                    f"--depth must lie in 0..{_MAX_DEPTH}, got {ns.depth}")
-            kwargs["depth"] = ns.depth
-    return kwargs
 
 
 def _first_failure(result):
@@ -379,13 +364,20 @@ def _first_failure(result):
     return {"failed_checks": failed, "summary": result["summary"]}
 
 
-def cmd_verify(ns, settings):
-    result = _suites.SUITES[ns.suite](**_suite_kwargs(ns.suite, ns, settings))
+def cmd_verify(ns):
+    suite = _suites.SUITES[ns.suite]
+    params = inspect.signature(suite).parameters
+    kwargs = {option.param: getattr(ns, name.replace("-", "_"))
+              for name, option in _OPTIONS.items() if option.param in params}
+    kwargs.update({flag.param: _check_size(name, getattr(ns, name))
+                   for name, flag in _VERIFY_FLAGS.items()
+                   if flag.param in params and getattr(ns, name) is not None})
+    result = suite(**{k: v for k, v in kwargs.items() if v is not None})
     report = {"suite": result["name"], "ok": result["ok"],
               "summary": result["summary"]}
     if not result["ok"]:
         report["first_failure"] = _first_failure(result)
-    _emit(report, result["rows"], settings)
+    _emit(report, result["rows"], ns)
     return 0 if result["ok"] else 1
 
 
@@ -402,15 +394,9 @@ def build_parser():
                         f"default from ${ENV_CONFIG}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out", help="write the evidence table here")
-    common.add_argument("--format", choices=("json", "csv"))
-    common.add_argument("--tol-quad", type=float,
-                        help="absolute quadrature tolerance")
-    common.add_argument("--tol-residual", type=float,
-                        help="identity residual threshold")
-    common.add_argument("--tol-root", type=float,
-                        help="relative tolerance of the norm root solves")
+    for name, option in _OPTIONS.items():
+        common.add_argument("--" + name, type=option.type, help=option.help,
+                            choices=option.choices)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -457,12 +443,8 @@ def build_parser():
     p = sub.add_parser("verify", parents=[common],
                        help="run a verification battery; exit 0 iff it passes")
     p.add_argument("suite", choices=tuple(_suites.SUITES))
-    p.add_argument("--pairs", type=int, help="valuation suite size")
-    p.add_argument("--maps", type=int, help="covariance suite size")
-    p.add_argument("--cases", type=int, help="lemma3 suite size")
-    p.add_argument("--J", type=int, help="lemma15 term count")
-    p.add_argument("--depth", type=int,
-                   help=f"continuity cover depth, 0 to {_MAX_DEPTH} (default 12)")
+    for name, flag in _VERIFY_FLAGS.items():
+        p.add_argument("--" + name, type=int, help=flag.help)
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -471,8 +453,8 @@ def main(argv=None):
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        settings = Settings(ns)
-        return ns.func(ns, settings)
+        _resolve_options(ns)
+        return ns.func(ns)
     except OrliczvalError as exc:
         sys.stderr.write(f"orliczval: {exc}\n")
         return 2

@@ -399,9 +399,7 @@ def limit_report(phi, t_max=1e13):
     ratios = vals / ts
     finite = np.isfinite(ratios)
     grow_ok = bool(np.all(np.diff(ratios[finite]) > -1e-9 * ratios[finite][:-1]))
-    ratio_max = float(np.max(ratios[finite])) if not np.all(finite) else float(ratios[-1])
-    if np.any(~finite):
-        ratio_max = math.inf
+    ratio_max = float(ratios[-1]) if np.all(finite) else math.inf
     ys = vals[finite & (vals > 0.0)]
     ys = ys[ys < 1e300]
     inv_ratios = []

@@ -1,6 +1,8 @@
 """Command-line and suite-driver behaviour."""
 
 import csv
+import functools
+import inspect
 import json
 import math
 import subprocess
@@ -11,7 +13,7 @@ import pytest
 
 import orliczval
 from orliczval import regions
-from orliczval.cli import _parse_phi, main
+from orliczval.cli import _OPTIONS, _VERIFY_FLAGS, _dump_csv, _dump_json, _parse_phi, main
 from orliczval.functions import SimpleFunction
 from orliczval.polytopes import Polytope
 from orliczval.regions import Annulus, OriginBall, Region, ShiftedBall
@@ -26,6 +28,7 @@ from orliczval.suites import (
     suite_young_limits,
 )
 from orliczval.valuations import (
+    OddComposer,
     PolynomialComposer,
     SigmoidComposer,
     _ball_ledger,
@@ -34,7 +37,7 @@ from orliczval.valuations import (
     divergent_truncation,
     psi,
 )
-from orliczval.young import ExpYoung, LogYoung, PowerYoung, young_from_json
+from orliczval.young import ExpYoung, LogYoung, PowerYoung, limit_report, young_from_json
 
 # indicator of the unit disk: mu = 2*pi/3, phi = t^2/2
 DISK_MU = 2.0 * math.pi / 3.0
@@ -535,3 +538,123 @@ def test_cli_seventeen_digit_floats(capsys):
     rc, out, _ = run_cli(capsys, "moment", "--poly", "[[0,0],[1,0],[0,1]]")
     assert rc == 0
     assert "0.16666666666666666" in out
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (("verify", "valuation", "--pairs", "-2"), "pairs", -2),
+    (("verify", "valuation", "--pairs", "0"), "pairs", 0),
+    (("verify", "covariance", "--maps", "-5"), "maps", -5),
+    (("verify", "lemma3", "--cases", "0"), "cases", 0),
+    (("verify", "lemma15", "--J", "0"), "J", 0),
+    (("counterexample", "--J", "0"), "J", 0),
+])
+def test_cli_rejects_a_size_below_one(argv, flag, value, capsys):
+    # a battery of no cases would pass on no evidence
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == f"orliczval: --{flag} must be at least 1, got {value}\n"
+
+
+def test_cli_reports_a_missing_config_file(tmp_path, capsys, monkeypatch):
+    missing = str(tmp_path / "missing.cfg")
+    argv = ("young", "eval", "--phi", "power:2", "--t", "1")
+    rc, out, err = run_cli(capsys, "--config", missing, *argv)
+    assert (rc, out) == (2, "") and "FileNotFoundError" in err
+    monkeypatch.setenv("ORLICZVAL_CONFIG", missing)
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "") and "FileNotFoundError" in err
+
+
+def test_json_prints_shortest_floats_and_csv_seventeen_digits(capsys):
+    assert _dump_json({"x": 0.1, "y": np.float64(1.0) / 3.0, "z": -math.inf}) == (
+        '{\n  "x": 0.1,\n  "y": 0.3333333333333333,\n  "z": "-inf"\n}\n')
+    assert _dump_csv([{"x": 0.1, "ok": np.bool_(True), "n": 3, "s": "a,b"}]) == (
+        'x,ok,n,s\n0.10000000000000001,true,3,"a,b"\n')
+    rc, out, _ = run_cli(capsys, "young", "eval", "--phi", "power:2", "--t", "0.1")
+    assert rc == 0 and '"t": 0.1,' in out
+
+
+def test_cli_csv_without_out_puts_the_table_on_stdout(capsys):
+    rc, out, err = run_cli(capsys, "verify", "young-limits", "--format", "csv")
+    assert rc == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert len(rows) == 6 and {row["ok"] for row in rows} == {"true"}
+    assert rows[0]["ratio_max"] == "%.17g" % suite_young_limits()["rows"][0]["ratio_max"]
+    assert json.loads(err)["suite"] == "young-limits"
+
+
+def test_cli_forwards_each_verify_setting_to_the_suites_that_take_it(
+        tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def spy(suite):
+        @functools.wraps(suite)  # the CLI reads the wrapped suite's signature
+        def wrapped(**kwargs):
+            seen.append(kwargs)
+            return suite(**kwargs)
+        return wrapped
+
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, spy(SUITES[name]))
+    cfg = tmp_path / "orlicz.cfg"
+    cfg.write_text("seed = 5\ntol-residual = 1e-6\n")
+    for config, argv, kwargs in (
+            (None, "covariance --maps 2 --seed 4", {"count": 2, "seed": 4, "residual_max": 1e-9}),
+            (None, "lemma3 --cases 3 --seed 2", {"cases": 3, "seed": 2}),
+            (None, "lemma15 --J 2 --pairs 7", {"terms": 2}),
+            (None, "continuity --depth 2 --maps 0", {"depth": 2}),
+            (cfg, "covariance --maps 2", {"count": 2, "seed": 5, "residual_max": 1e-6}),
+            (cfg, "lemma3 --cases 3", {"cases": 3, "seed": 5}),
+            (cfg, "valuation --pairs 2 --seed 9", {"pairs": 2, "seed": 9, "residual_max": 1e-6}),
+            (cfg, "lemma8 --J 3", {}),
+            (cfg, "young-limits", {})):
+        monkeypatch.delenv("ORLICZVAL_CONFIG", raising=False)
+        if config is not None:
+            monkeypatch.setenv("ORLICZVAL_CONFIG", str(config))
+        seen.clear()
+        rc, out, _ = run_cli(capsys, "verify", *argv.split())
+        assert rc in (0, 1) and seen == [kwargs], argv
+    # the suite's own results, unchanged by the CLI
+    doc = json.loads(out)
+    assert doc["rows"] == json.loads(_dump_json(suite_young_limits()["rows"]))
+
+
+def test_every_verify_setting_names_a_suite_parameter():
+    params = set().union(*(inspect.signature(s).parameters for s in SUITES.values()))
+    for name, flag in _VERIFY_FLAGS.items():
+        assert flag.param in params, name
+    for name, option in _OPTIONS.items():
+        assert option.param is None or option.param in params, name
+
+
+def test_cli_reads_json_forms_and_the_odd_shorthand(tmp_path, capsys):
+    annulus = json.dumps({"dim": 2, "parts": [
+        {"kind": "annulus", "dim": 2, "inner": 1.0, "outer": 2.0}]})
+    _, by_json, _ = run_cli(capsys, "moment", "--region", annulus)
+    _, by_shorthand, _ = run_cli(capsys, "moment", "--region", "annulus:1:2", "--dim", "2")
+    assert by_json == by_shorthand
+    tri = Polytope([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+    h = SimpleFunction(2, [(1.5, Region([tri]))])
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(h.to_json()))
+    xi = PolynomialComposer([1.0, 0.5])
+    _, by_json, _ = run_cli(capsys, "psi", "--xi", json.dumps(xi.to_json()), "--simple", str(path))
+    _, by_shorthand, _ = run_cli(capsys, "psi", "--xi", "poly:1,0.5", "--simple", str(path))
+    assert by_json == by_shorthand
+    assert json.loads(by_json)["psi"] == pytest.approx(list(psi(xi, h)), rel=1e-12)
+    rc, out, _ = run_cli(capsys, "psi", "--xi", "odd:power:2", "--simple", str(path))
+    assert rc == 0
+    assert json.loads(out)["psi"] == pytest.approx(
+        list(psi(OddComposer(PowerYoung(2.0)), h)), rel=1e-12)
+
+
+def test_cli_young_limits(capsys):
+    rc, out, _ = run_cli(capsys, "young", "limits", "--phi", "log:1e4:1e2")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["ratio_exceeds_1e6"] and doc["inverse_ratio_below_1e-6"]
+    assert doc == json.loads(_dump_json({"input": LogYoung(1e4, 1e2).to_json(),
+                                         **limit_report(LogYoung(1e4, 1e2))}))
+    # the ratio at the grid's end, or inf once phi(t)/t overflows on the grid
+    assert limit_report(PowerYoung(2.0))["ratio_max"] == PowerYoung(2.0).eval(1e13) / 1e13
+    assert limit_report(ExpYoung())["ratio_max"] == math.inf

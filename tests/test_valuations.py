@@ -352,6 +352,36 @@ def test_divergence_plan_names_the_first_failing_witness():
         dataclasses.replace(plan, betas=tuple(betas)).validate()
 
 
+def _replace_at(values, index, value):
+    return values[:index] + (value,) + values[index + 1:]
+
+
+def _tiny_first_ball(plan):
+    # a smaller first ball with its budget re-solved: its moment ratio c/(c + r)
+    # rises above the second ball's, and every earlier check still holds
+    r, c = 1e-3, plan.centers[0]
+    budget = (c + r) * unit_ball_volume(plan.dim) * r ** plan.dim
+    return {"radii": _replace_at(plan.radii, 0, r),
+            "budgets": _replace_at(plan.budgets, 0, budget)}
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda p: {"radii": p.radii[:-1]}, r"^ragged plan$"),
+    (lambda p: {"exponents": p.exponents[::-1]}, r"^exponents must be strictly increasing$"),
+    (lambda p: {"radii": _replace_at(p.radii, 1, 1.5)}, r"^radius out of range: 1\.5$"),
+    (lambda p: {"centers": _replace_at(p.centers, 0, 0.5 * p.radii[0])},
+     r"^ball would contain the origin side$"),
+    (lambda p: {"centers": _replace_at(p.centers, 1, p.centers[0] + 1.0)}, r"^centers too close$"),
+    (lambda p: {"budgets": _replace_at(p.budgets, 0, 2.0 * p.budgets[0])},
+     r"^budget equation violated$"),
+    (_tiny_first_ball, r"^moment ratios must be nondecreasing$"),
+])
+def test_divergence_plan_rejects_each_broken_field(change, message):
+    plan = build_divergence_plan(PolynomialComposer([0.0, 0.0, 0.0, 1.0]), PowerYoung(2.0), 3)
+    with pytest.raises(ConstructionError, match=message):
+        dataclasses.replace(plan, **change(plan)).validate()
+
+
 def test_divergent_truncation_tables():
     phi = PowerYoung(2.0)
     xi = PolynomialComposer([0.0, 0.0, 0.0, 1.0])
