@@ -13,12 +13,12 @@ from orliczval import (
     Annulus,
     OriginBall,
     PowerYoung,
+    PolynomialComposer,
     Polytope,
     Region,
     SimpleFunction,
     continuity_probe,
     cube_cover,
-    identity_composer,
     indicator_norm,
 )
 
@@ -47,7 +47,7 @@ print("sqrt(mu gap): strictly decreasing, but still 1.4e-2 at depth 12")
 
 print()
 print("=== annular truncation tails vanish in norm ===")
-xi = identity_composer()
+xi = PolynomialComposer([1.0])
 wide = SimpleFunction(2, [(1.0, Region([Annulus(2, 0.125, 4.0)]))])
 rows = continuity_probe(xi, phi, wide, 6)
 print("  k  covered window      tail norm     moment gap")

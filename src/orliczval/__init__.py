@@ -70,7 +70,6 @@ from .norms import (
     indicator_norm,
     luxemburg_norm,
     modular,
-    norm_distance,
     norm_report,
     orlicz_norm,
 )
@@ -89,7 +88,6 @@ from .valuations import (
     continuity_probe,
     divergent_truncation,
     find_divergence_witnesses,
-    identity_composer,
     psi,
 )
 from .suites import SUITES

@@ -34,7 +34,6 @@ from .valuations import (
     build_divergence_plan,
     composer_from_json,
     divergent_truncation,
-    identity_composer,
     psi,
 )
 from .young import (
@@ -94,6 +93,9 @@ def _load_config(path):
                     f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
             key, _, value = line.partition("=")
             values[key.strip()] = value.strip().strip('"')
+    if unknown := [key for key in values if key not in _OPTIONS]:
+        raise OrliczvalError(f"{path}: unknown config key(s) {', '.join(map(repr, unknown))}"
+                             f" (known: {', '.join(_OPTIONS)})")
     return values
 
 
@@ -241,7 +243,7 @@ def _parse_xi(token):
     if (xi := _read_spec(token, composer_from_json)) is not None:
         return xi
     if token == "identity":
-        return identity_composer()
+        return PolynomialComposer([1.0])
     name, _, rest = token.partition(":")
     if name == "poly":
         return PolynomialComposer([float(x) for x in rest.split(",")])

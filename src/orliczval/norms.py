@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .functions import GridFunction, SimpleFunction, difference
+from .functions import GridFunction, SimpleFunction
 from .numerics import solve_monotone
 from .regions import Region
 
@@ -140,11 +140,6 @@ def indicator_norm(phi, region, abs_tol=1e-9, rel_tol=1e-12):
     if mu == 0.0:
         return 0.0
     return mu * phi.conjugate().inverse(1.0 / mu, rel_tol=rel_tol)
-
-
-def norm_distance(phi, f, g, rel_tol=1e-12, abs_tol=1e-9):
-    """Averaged norm of ``f - g`` on their common refinement."""
-    return orlicz_norm(phi, difference(f, g), rel_tol=rel_tol, abs_tol=abs_tol)
 
 
 def norm_report(phi, h, abs_tol=1e-9):

@@ -351,11 +351,7 @@ class Polytope:
         return "interior"
 
     def to_json(self):
-        return {"dim": self.dim, "vertices": self.vertices.tolist()}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["vertices"])
+        return {"kind": "polytope", "dim": self.dim, "vertices": self.vertices.tolist()}
 
     def __eq__(self, other):
         if not isinstance(other, Polytope) or self.vertices.shape != other.vertices.shape:
@@ -562,8 +558,8 @@ def continuity_constraint_system():
     coefficient vector survives, so the edge terms cannot appear in any
     family continuous through these degenerations.
 
-    Returns a dict with the row matrix, readable equations, the rank,
-    the affineness residual over the eps schedule, and the flag
+    Returns a dict with the row matrix, its labels, the rank, the
+    affineness residual over the eps schedule, and the flag
     ``unique_zero_solution``.
     """
     families = [
@@ -577,15 +573,14 @@ def continuity_constraint_system():
     rows = []
     labels = []
     affine_residual = 0.0
+    eps = np.array(_EPS_SCHEDULE)[:, None, None]
     for name, make, limit_pts in families:
         bases = np.array([_edge_basis(Polytope(make(e))) for e in _EPS_SCHEDULE])
         e0, e1 = _EPS_SCHEDULE[0], _EPS_SCHEDULE[1]
         slope = (bases[1] - bases[0]) / (e1 - e0)
         intercept = bases[0] - slope * e0
-        for k, e in enumerate(_EPS_SCHEDULE):
-            predicted = intercept + slope * e
-            affine_residual = max(affine_residual,
-                                  float(np.max(np.abs(predicted - bases[k]))))
+        affine_residual = max(affine_residual,
+                              float(np.max(np.abs(intercept + slope * eps - bases))))
         target = _edge_basis(Polytope(limit_pts))
         for comp, comp_name in ((0, "e1"), (1, "e2")):
             row = intercept[comp] - target[comp]
@@ -595,23 +590,9 @@ def continuity_constraint_system():
             labels.append(f"{name} -> limit, {comp_name} component")
     matrix = np.array(rows)
     rank = int(np.linalg.matrix_rank(matrix, tol=1e-9))
-    equations = []
-    names = ("c2", "c2t", "c3", "c3t")
-    for row, label in zip(matrix, labels):
-        terms = []
-        for c, nm in zip(row, names):
-            if c == 0.0:
-                continue
-            sign = "+" if c > 0 else "-"
-            mag = abs(c)
-            coef = "" if mag == 1.0 else f"{mag:g}*"
-            terms.append(f"{sign} {coef}{nm}")
-        lhs = " ".join(terms).lstrip("+ ")
-        equations.append(f"{lhs} = 0    [{label}]")
     return {
         "matrix": matrix,
         "labels": labels,
-        "equations": equations,
         "rank": rank,
         "unique_zero_solution": rank == matrix.shape[1],
         "affine_residual": affine_residual,

@@ -255,12 +255,6 @@ def _box_hull(bounds, dim):
             np.vstack([b[1] for b in bounds]).max(axis=0))
 
 
-def part_to_json(part):
-    if isinstance(part, Polytope):
-        return {"kind": "polytope", **part.to_json()}
-    return part.to_json()
-
-
 # The parts whose JSON is their fields, by kind.
 _SCALAR_PARTS = {cls._kind: cls for cls in (OriginBall, Annulus, ShiftedBall)}
 
@@ -285,9 +279,6 @@ class WeightedMeasure:
 
     value: float
     error_bound: float
-
-    def __float__(self):
-        return self.value
 
 
 class Region:
@@ -408,7 +399,7 @@ class Region:
         return _check_disjoint([self])
 
     def to_json(self):
-        return {"dim": self.dim, "parts": [part_to_json(p) for p in self.parts]}
+        return {"dim": self.dim, "parts": [p.to_json() for p in self.parts]}
 
     @classmethod
     def from_json(cls, obj):

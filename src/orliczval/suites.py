@@ -35,7 +35,6 @@ from .valuations import (
     check_covariance,
     check_valuation_identity,
     continuity_probe,
-    identity_composer,
 )
 from .young import ExpYoung, LogYoung, PowerYoung, limit_report
 
@@ -261,7 +260,7 @@ def suite_continuity(depth=12, probe_k=8):
     radius-weighted area bound at every depth.
     """
     phi = PowerYoung(2.0)
-    xi = identity_composer()
+    xi = PolynomialComposer([1.0])
     tri = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tri_region = Region([tri])
     mu_tri = tri_region.weighted_measure().value

@@ -83,10 +83,6 @@ class PolynomialComposer(Composer):
         return f"PolynomialComposer({list(self.coeffs)!r})"
 
 
-def identity_composer():
-    return PolynomialComposer([1.0])
-
-
 class OddComposer(Composer):
     """Odd extension sign(t) * phi(|t|) of a Young function."""
 

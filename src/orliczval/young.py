@@ -282,8 +282,8 @@ class DensityYoung(YoungFunction):
             i = int(np.argmin(np.diff(self._d)))
             raise DensityResolutionError(
                 "density grid too coarse to invert: flat segment at "
-                f"s in [{self._s[i]!r}, {self._s[i + 1]!r}] "
-                f"(value {self._d[i]!r}); refine the samples so the "
+                f"s in [{float(self._s[i])!r}, {float(self._s[i + 1])!r}] "
+                f"(value {float(self._d[i])!r}); refine the samples so the "
                 "density increases strictly"
             )
         swapped = np.column_stack((self._d, self._s))
@@ -294,7 +294,7 @@ class DensityYoung(YoungFunction):
 
     def __repr__(self):
         return (f"DensityYoung(<{len(self._s)} samples on "
-                f"[0, {self._s[-1]!r}]>, tail_slope={self.tail_slope!r})")
+                f"[0, {float(self._s[-1])!r}]>, tail_slope={self.tail_slope!r})")
 
     def __eq__(self, other):
         return (isinstance(other, DensityYoung)
@@ -354,13 +354,13 @@ class ConjugatePair:
                 "worst_equality_gap": worst_eq}
 
 
-def delta2_report(phi, t_max=50.0):
+def delta2_report(phi):
     """Check the doubling condition ``phi(2t) <= C * phi(t)``.
 
     For the power family the condition is exact with ``C = 2**p`` and
     no threshold.  For every other family the ratio ``phi(2t)/phi(t)``
-    is examined on a geometric grid of 200 points from ``1e-6`` to
-    ``t_max``; this is a finite-grid check, not a proof.  The verdict is
+    is examined on a fixed geometric grid of 200 points from ``1e-6``
+    to ``50``; this is a finite-grid check, not a proof.  The verdict is
     negative when the supremum of the ratio exceeds ``1e6``.
 
     Returns a dict with keys ``holds``, ``kind`` (``"exact"`` or
@@ -371,7 +371,7 @@ def delta2_report(phi, t_max=50.0):
         c = 2.0 ** phi.p
         return {"holds": True, "kind": "exact", "constant": c, "threshold": 0.0,
                 "sup_ratio": c, "witness_t": None, "tail_growing": False}
-    ts = np.geomspace(1e-6, t_max, 200)
+    ts = np.geomspace(1e-6, 50.0, 200)
     with np.errstate(over="ignore", invalid="ignore"):
         ratios = np.asarray(phi.eval(2.0 * ts)) / np.asarray(phi.eval(ts))
     i = int(np.nanargmax(ratios))
@@ -384,16 +384,16 @@ def delta2_report(phi, t_max=50.0):
             "witness_t": float(ts[i]), "tail_growing": tail_growing}
 
 
-def limit_report(phi, t_max=1e13):
+def limit_report(phi):
     """Slope behaviour of ``phi`` at infinity and of its inverse.
 
-    Tabulates ``phi(t)/t`` on a geometric grid of 400 points in
-    ``[1, t_max]`` and ``phi^{-1}(y)/y`` (inverted to ``1e-12``) on the
+    Tabulates ``phi(t)/t`` on a fixed geometric grid of 400 points in
+    ``[1, 1e13]`` and ``phi^{-1}(y)/y`` (inverted to ``1e-12``) on the
     image grid, and reports whether the former climbs above ``1e6`` and
     the latter falls below ``1e-6`` within the grid, along with
     monotonicity of both ratio sequences.
     """
-    ts = np.geomspace(1.0, t_max, 400)
+    ts = np.geomspace(1.0, 1e13, 400)
     with np.errstate(over="ignore"):
         vals = np.asarray(phi.eval(ts))
     ratios = vals / ts

@@ -440,10 +440,14 @@ def test_value_types_of_every_closed_form_family():
 
 def test_one_name_per_operation(capsys):
     for name in ("check_sign_decomposition", "positive_negative_parts", "convex_hull_2d",
-                 "young_gap", "psi_quadrature"):
+                 "young_gap", "psi_quadrature", "norm_distance", "identity_composer"):
         assert name not in orliczval.__all__ and not hasattr(orliczval, name), name
     assert not hasattr(orliczval.polytopes, "affine_rank")
     assert not hasattr(SimpleFunction, "is_zero")
+    assert not hasattr(orliczval.norms, "norm_distance")
+    assert not hasattr(orliczval.valuations, "identity_composer")
+    assert not hasattr(regions, "part_to_json") and not hasattr(Polytope, "from_json")
+    assert not hasattr(regions.WeightedMeasure, "__float__")
     # the gauge is named by --phi, as in every other subcommand
     for argv in (("young", "eval", "--family", "power", "--p", "2", "--t", "0"),
                  ("young", "eval", "--phi", "power:2", "--rate", "2", "--t", "0")):
@@ -451,6 +455,22 @@ def test_one_name_per_operation(capsys):
             main(list(argv))
         assert info.value.code == 2, argv
     assert capsys.readouterr().out == ""
+
+
+def test_cli_rejects_an_unknown_config_key(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("tol_root = 1e-3\nseed = 3\nformats = csv\n")
+    argv = ("young", "eval", "--phi", "power:2", "--t", "1")
+    rc, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+    assert (rc, out) == (2, "")
+    assert err == (f"orliczval: {cfg}: unknown config key(s) 'tol_root', 'formats' "
+                   "(known: seed, out, format, tol-quad, tol-residual, tol-root)\n")
+    monkeypatch.setenv("ORLICZVAL_CONFIG", str(cfg))
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "") and "'tol_root', 'formats'" in err
+    cfg.write_text("tol-root = 1e-3\nseed = 3\nformat = csv\n")  # the same keys, spelt right
+    rc, _, _ = run_cli(capsys, *argv)
+    assert rc == 0
 
 
 def test_cli_moment_rejects_an_empty_polytope(capsys):

@@ -35,7 +35,6 @@ from orliczval.norms import (
     indicator_norm,
     luxemburg_norm,
     modular,
-    norm_distance,
     norm_report,
     orlicz_norm,
 )
@@ -414,9 +413,9 @@ def test_norm_distance_radial():
     f = SimpleFunction(2, [(5.0, _ball(1.0))])
     g = SimpleFunction(2, [(2.0, _ball(1.0))])
     expected = 3.0 * math.sqrt(2.0 * DISK_MU)
-    assert math.isclose(norm_distance(phi, f, g), expected, rel_tol=1e-9)
-    assert math.isclose(norm_distance(phi, g, f), expected, rel_tol=1e-9)
-    assert norm_distance(phi, f, f) == 0.0
+    assert math.isclose(orlicz_norm(phi, difference(f, g)), expected, rel_tol=1e-9)
+    assert math.isclose(orlicz_norm(phi, difference(g, f)), expected, rel_tol=1e-9)
+    assert orlicz_norm(phi, difference(f, f)) == 0.0
 
 
 def test_modular_against_monte_carlo():

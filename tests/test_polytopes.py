@@ -6,7 +6,13 @@ import pytest
 
 from orliczval import polytopes
 from orliczval.errors import DomainError
-from orliczval.regions import Region, cube_cover, part_contains, part_weighted_measure
+from orliczval.regions import (
+    Region,
+    cube_cover,
+    part_contains,
+    part_from_json,
+    part_weighted_measure,
+)
 from orliczval.polytopes import (
     PlanarCoefficients,
     Polytope,
@@ -386,7 +392,7 @@ def test_geometry_is_invariant_under_dyadic_scaling(k):
 
 def test_json_round_trip():
     p = Polytope([[0, 0], [2, 0], [2, 1], [0, 1]])
-    q = Polytope.from_json(p.to_json())
+    q = part_from_json(p.to_json())
     assert p == q and q.dim == 2
 
 
@@ -750,10 +756,26 @@ def test_constraint_system_contains_the_two_segment_rows():
     assert [-1.0, 1.0, -1.0, -1.0] in rows
 
 
-def test_constraint_equations_are_readable():
-    eqs = continuity_constraint_system()["equations"]
-    assert len(eqs) == 6
-    assert all(e.endswith("]") and "= 0" in e for e in eqs)
+def test_constraint_system_rows_and_labels_are_pinned():
+    report = continuity_constraint_system()
+    assert report["matrix"].tolist() == [
+        [-1.0, 1.0, 1.0, 1.0],
+        [-1.0, 1.0, -1.0, -1.0],
+        [-1.0, -1.0, 0.0, -1.0],
+        [-1.0, -1.0, 1.0, 1.0],
+        [1.0, 1.0, 0.0, -1.0],
+        [-1.0, -1.0, -1.0, -1.0],
+    ]
+    assert report["labels"] == [
+        "[e1, eps*e2] -> limit, e1 component",
+        "[eps*e1, e2] -> limit, e2 component",
+        "[e1, e2, -eps*e1] -> limit, e1 component",
+        "[e1, e2, -eps*e1] -> limit, e2 component",
+        "[eps*e1, e2, -e1] -> limit, e1 component",
+        "[eps*e1, e2, -e1] -> limit, e2 component",
+    ]
+    assert sorted(report) == ["affine_residual", "labels", "matrix", "rank",
+                              "unique_zero_solution"]
 
 
 # -- unimodular generators -------------------------------------------------

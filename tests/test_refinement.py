@@ -29,7 +29,7 @@ from orliczval.regions import (
     symmetric_difference,
     weighted_measure,
 )
-from orliczval.valuations import PolynomialComposer, identity_composer, psi
+from orliczval.valuations import PolynomialComposer, psi
 
 _VALUES = (1.0, -2.5, 0.75, 3.0)
 
@@ -332,7 +332,7 @@ def test_lattice_results_measure_as_their_cells():
 
 def test_psi_of_the_zero_function_is_the_zero_vector():
     for dim in (2, 3, 4):
-        got = psi(identity_composer(), SimpleFunction.zero(dim))
+        got = psi(PolynomialComposer([1.0]), SimpleFunction.zero(dim))
         assert got.shape == (dim,) and not got.any()
 
 

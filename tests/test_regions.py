@@ -1,3 +1,4 @@
+import json
 import math
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from orliczval.regions import (
     moment,
     part_bounding_box,
     part_contains,
+    part_from_json,
     part_lebesgue,
     part_moment,
     part_weighted_measure,
@@ -84,7 +86,7 @@ def test_weighted_measure_radial_closed_forms():
     got = weighted_measure(disk)
     assert abs(got.value - 2.0 * math.pi / 3.0) < 1e-14
     assert got.error_bound == 0.0
-    assert abs(float(got) - _radial_mu_quad(2, 0.0, 1.0)) < 1e-10
+    assert abs(got.value - _radial_mu_quad(2, 0.0, 1.0)) < 1e-10
     ball3 = Region([OriginBall(3, 1.0)])
     assert abs(weighted_measure(ball3).value - math.pi) < 1e-14
     for n, r, big in ((2, 1.0, 2.5), (3, 0.5, 1.25), (4, 1.5, 2.0)):
@@ -805,10 +807,26 @@ def test_region_json_round_trip():
         ShiftedBall(2, 0.25, 5.0),
         Polytope([[6.0, 0.0], [7.0, 0.0], [6.0, 1.0]]),
     ])
+    want = {"dim": 2, "parts": [
+        {"kind": "origin_ball", "dim": 2, "radius": 1.0},
+        {"kind": "annulus", "dim": 2, "inner": 1.0, "outer": 2.0},
+        {"kind": "axis_box", "lo": [3.0, 0.0], "hi": [4.0, 1.0]},
+        {"kind": "shifted_ball", "dim": 2, "radius": 0.25, "offset": 5.0},
+        {"kind": "polytope", "dim": 2, "vertices": [[6.0, 0.0], [7.0, 0.0], [6.0, 1.0]]},
+    ]}
+    # key order is part of the form: compare the serialized text too
+    assert json.dumps(region.to_json()) == json.dumps(want)
     back = Region.from_json(region.to_json())
     assert back.dim == 2 and len(back.parts) == 5
     assert abs(lebesgue(back) - lebesgue(region)) < 1e-12
     assert np.allclose(moment(back), moment(region), atol=1e-12)
+    # each part kind has one JSON form, which part_from_json reads back
+    tetra = Polytope([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    for part in (*region.parts, tetra):
+        obj = part.to_json()
+        back = part_from_json(obj)
+        assert type(back) is type(part), part
+        assert json.dumps(back.to_json()) == json.dumps(obj), part
 
 
 def test_region_validation():

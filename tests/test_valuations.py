@@ -35,7 +35,6 @@ from orliczval.valuations import (
     continuity_probe,
     divergent_truncation,
     find_divergence_witnesses,
-    identity_composer,
     psi,
 )
 from orliczval.young import PowerYoung
@@ -139,7 +138,7 @@ def test_composer_json_round_trips():
 
 
 def test_psi_simplex_value():
-    xi = identity_composer()
+    xi = PolynomialComposer([1.0])
     h = SimpleFunction(2, [(1.0, _tri())])
     assert np.max(np.abs(psi(xi, h) - np.array([1 / 6, 1 / 6]))) <= 1e-12
 
@@ -248,7 +247,7 @@ def test_covariance_under_extreme_diagonal_maps(dim, k):
 
 
 def test_covariance_rejects_non_polytopes():
-    xi = identity_composer()
+    xi = PolynomialComposer([1.0])
     h = SimpleFunction(2, [(1.0, _ball(1.0))])
     with pytest.raises(CapabilityError) as info:
         check_covariance(xi, h, np.eye(2))
@@ -265,7 +264,7 @@ def test_cphi_certified_ratio_one():
 
 def test_cphi_small_end_divergence():
     phi = PowerYoung(2.0)
-    report = check_cphi(identity_composer(), phi)
+    report = check_cphi(PolynomialComposer([1.0]), phi)
     assert not report["certified_on_grid"]
     assert report["diverges_small_end"]
     assert report["lambda_candidate"] is None
@@ -406,7 +405,7 @@ def test_divergent_truncation_tables():
 
 def test_continuity_probe_tail_formulas():
     phi = PowerYoung(2.0)
-    xi = identity_composer()
+    xi = PolynomialComposer([1.0])
     inner = SimpleFunction(2, [(1.0, _ring(1.0, 2.0))])
     rows = list(continuity_probe(xi, phi, inner, 3))
     assert all(row["norm_tail"] == 0.0 and row["psi_gap"] == 0.0
@@ -431,7 +430,7 @@ def test_continuity_probe_tail_formulas():
 
 def test_continuity_probe_rejections():
     phi = PowerYoung(2.0)
-    xi = identity_composer()
+    xi = PolynomialComposer([1.0])
     mixed = SimpleFunction(2, [(1.0, _ball(1.0)), (-1.0, _ring(1.0, 2.0))])
     with pytest.raises(DomainError):
         continuity_probe(xi, phi, mixed, 2)

@@ -1,5 +1,6 @@
 """Young-function families: conjugation, duality, doubling, growth."""
 
+import inspect
 import math
 
 import numpy as np
@@ -212,6 +213,16 @@ def test_flat_density_segment_blocks_conjugation():
         phi.conjugate()
 
 
+def test_density_texts_print_plain_floats():
+    with pytest.raises(DensityResolutionError) as info:
+        DensityYoung([[0, 0], [1, 0], [2, 1]]).conjugate()
+    assert str(info.value) == (
+        "density grid too coarse to invert: flat segment at s in [0.0, 1.0] "
+        "(value 0.0); refine the samples so the density increases strictly")
+    assert repr(DensityYoung([[0, 0], [1, 1]])) == (
+        "DensityYoung(<2 samples on [0, 1.0]>, tail_slope=1.0)")
+
+
 def test_density_validation():
     with pytest.raises(InvalidDensityError):
         DensityYoung([(0.0, 0.0), (1.0, 2.0), (2.0, 1.0)])   # decreasing
@@ -250,12 +261,19 @@ def test_delta2_power_is_exact():
 
 
 def test_delta2_exp_fails_on_grid():
-    report = delta2_report(ExpYoung(), t_max=50.0)
+    report = delta2_report(ExpYoung())
     assert not report["holds"]
     assert report["kind"] == "grid"
     assert report["sup_ratio"] > 1e19
     assert report["witness_t"] == pytest.approx(50.0)
     assert report["tail_growing"]
+
+
+def test_both_reports_take_only_the_gauge():
+    for report in (delta2_report, limit_report):
+        assert list(inspect.signature(report).parameters) == ["phi"], report
+        with pytest.raises(TypeError):
+            report(ExpYoung(), t_max=50.0)
 
 
 def test_delta2_density_family_holds_on_grid():
@@ -273,7 +291,7 @@ def test_limit_report_hits_thresholds():
         assert rep["ratio_monotone_up"]
         assert rep["inverse_ratio_below_1e-6"], (phi, rep)
         assert rep["inverse_ratio_monotone_down"]
-    rep = limit_report(LogYoung(), t_max=1e8)
+    rep = limit_report(LogYoung())
     assert rep["ratio_monotone_up"] and rep["inverse_ratio_monotone_down"]
 
 
