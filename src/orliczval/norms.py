@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import DomainError
 from .functions import GridFunction, SimpleFunction
-from .numerics import solve_monotone
+from .numerics import _certifies, solve_monotone
 from .regions import Region
+from .young import PowerYoung
 
 
 # elements of one points x atoms block in a norm solve's vector call: the
@@ -85,10 +86,12 @@ def modular(phi, h, abs_tol=1e-9):
 def luxemburg_norm(phi, h, rel_tol=1e-10, abs_tol=1e-9):
     """Gauge norm ``1/u`` for the ``u`` with ``modular(u * h) = 1``.
 
-    Zero functions have norm zero.  The modular is increasing in ``u``
-    and runs from zero to infinity, so the root solve from ``u = 0``,
-    whose bracket starts at ``1 / max|h|`` and doubles as needed,
-    always lands on the unique root.
+    Zero functions have norm zero.  One atom ``v`` of measure ``mu`` has
+    norm ``v / phi^{-1}(1/mu)`` (see :meth:`YoungFunction.inverse`), and a
+    power gauge ``M^(1/p)`` for the modular ``M`` of ``h``, once one call of
+    the modular certifies it.  Otherwise the modular, increasing in ``u``
+    from zero to infinity, is root-solved from ``u = 0`` with a bracket that
+    starts at ``1 / max|h|`` and doubles as needed, so it finds the one root.
     """
     return _luxemburg(phi, *_atoms(h, abs_tol), rel_tol)
 
@@ -96,8 +99,18 @@ def luxemburg_norm(phi, h, rel_tol=1e-10, abs_tol=1e-9):
 def _luxemburg(phi, vals, mus, rel_tol=1e-10):
     if len(vals) == 0:
         return 0.0
-    u = solve_monotone(lambda u: _weighted_sum(phi.eval, u, vals, mus),
-                       1.0, lo=0.0, hi=1.0 / float(np.max(vals)), rel_tol=rel_tol)
+    if len(vals) == 1 and mus[0] > 0.0:
+        return float(vals[0]) / phi.inverse(1.0 / float(mus[0]), rel_tol)
+    u, top = np.nan, float(vals[-1])
+    if isinstance(phi, PowerYoung):  # modular(u h) = m (u top)^p
+        m = phi.scale / phi.p * float(np.dot((vals / top) ** phi.p, mus))
+        u = 1.0 / (top * m ** (1.0 / phi.p)) if m > 0.0 else np.nan
+
+    def modular_at(u):
+        return _weighted_sum(phi.eval, u, vals, mus)
+
+    if not _certifies(modular_at, 1.0, u, rel_tol):
+        u = solve_monotone(modular_at, 1.0, lo=0.0, hi=1.0 / top, rel_tol=rel_tol)
     return 1.0 / u
 
 

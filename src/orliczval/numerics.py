@@ -1,4 +1,5 @@
-"""Root finding: :func:`solve_monotone`, for both norms and every inverse.
+"""Root finding: :func:`solve_monotone`, for the averaged norm and wherever
+:func:`_certifies` rejects a gauge norm's or inverse's closed-form seed.
 
 ``f`` is called on one vector of points per step (k-section, Miranker,
 IBM J. Res. Dev. 13, 1969).  The first call samples ``hi`` times
@@ -107,3 +108,13 @@ def solve_monotone(f, target, lo=0.0, hi=None, rel_tol=1e-12):
                        math.nextafter(hi, lo), out=x)
             x.sort()
             y = g(x)
+
+
+def _certifies(f, target, t, rel_tol=1e-12):
+    """Whether one call of ``f`` at ``t (1 -+ rel_tol/2)`` brackets ``target``
+    as :func:`solve_monotone` brackets its result; False unless ``0 < t < inf``."""
+    if not 0.0 < t < math.inf:
+        return False
+    with np.errstate(over="ignore"):
+        below, above = f(t * np.array([1.0 - 0.5 * rel_tol, 1.0 + 0.5 * rel_tol]))
+    return bool(below < target <= above)

@@ -27,6 +27,10 @@ with a sampled-density family:
 The conjugate is ``phi*(t) = integral_0^t sup{s : phi'(s) <= t} ds``;
 Young's inequality ``s*t <= phi(s) + phi*(t)`` holds with equality at
 ``t = phi'(s)`` (see :meth:`ConjugatePair.gap`).
+
+Each family seeds ``phi^{-1}(y)`` in closed form (power, density) or by
+Newton's method on floats (exp, log); :meth:`YoungFunction.inverse`
+root-solves only where one call of ``phi`` fails to certify the seed.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .errors import (
     DomainError,
     InvalidDensityError,
 )
-from .numerics import solve_monotone
+from .numerics import _certifies, solve_monotone
 
 
 def _as_nonnegative(t):
@@ -74,12 +78,32 @@ def _expm1_minus(x):
         out = np.expm1(x) - np.minimum(x, 710.0)  # inf - inf would be NaN
     if not small.any():
         return out
-    s = np.minimum(np.maximum(x, -1.0), 1.0)
-    acc = np.full_like(s, _EXPM1_MINUS[0])
-    for c in _EXPM1_MINUS[1:]:
-        acc *= s
-        acc += c
-    return np.where(small, acc * s * s, out)
+    return np.where(small, _expm1_minus_series(np.minimum(np.maximum(x, -1.0), 1.0)), out)
+
+
+def _expm1_minus_series(x):
+    """The Taylor series of ``expm1(x) - x`` for a float or array ``|x| <= 1``."""
+    acc = 0.0
+    for c in _EXPM1_MINUS:
+        acc = acc * x + c
+    return acc * x * x
+
+
+def _expm1_minus_float(x):
+    """:func:`_expm1_minus` of one float, without numpy; overflow raises."""
+    return _expm1_minus_series(x) if abs(x) < 1.0 else math.expm1(x) - x
+
+
+def _newton_down(step, u):
+    """Newton's method, ``step(u)`` its step, from an upper bound ``u`` of the
+    root of a convex increasing function: the iterates fall to the root
+    until a step is down to rounding (or NaN)."""
+    for _ in range(100):
+        du = step(u)
+        u -= du
+        if not du > 1e-15 * u:
+            break
+    return u
 
 
 class YoungFunction:
@@ -101,12 +125,24 @@ class YoungFunction:
         raise NotImplementedError
 
     def inverse(self, y, rel_tol=1e-12):
-        """Solve ``phi(t) = y`` for ``t >= 0`` with :func:`solve_monotone`."""
+        """Solve ``phi(t) = y`` for ``t >= 0``: the family's seed when ``phi``
+        at ``seed (1 -+ rel_tol/2)`` brackets ``y`` as the result of
+        :func:`solve_monotone` is bracketed, else that solve from ``t = 0``."""
         if y < 0.0:
             raise DomainError("phi takes no negative values")
         if y == 0.0:
             return 0.0
+        try:
+            t = self._seed(float(y))
+        except ArithmeticError:  # overflow, or y / scale = 0 in a Newton step
+            t = math.nan
+        if _certifies(self.eval, y, t, rel_tol):
+            return t
         return solve_monotone(self.eval, y, lo=0.0, rel_tol=rel_tol)
+
+    def _seed(self, y):
+        """An estimate of ``phi^{-1}(y)`` for ``y > 0``; NaN means none."""
+        return math.nan
 
     def to_json(self):
         """The closed-form families' JSON: their name and their fields."""
@@ -141,6 +177,9 @@ class PowerYoung(YoungFunction):
     def conjugate(self):
         q = self.p / (self.p - 1.0)
         return PowerYoung(q, self.scale ** (1.0 - q))
+
+    def _seed(self, y):
+        return (self.p / self.scale * y) ** (1.0 / self.p)
 
 
 @dataclass
@@ -179,6 +218,14 @@ class ExpYoung(_ScaleRate):
     def conjugate(self):
         return LogYoung(self.scale, self._conjugate_rate())
 
+    def _seed(self, y):
+        # u = rate t solves expm1(u) - u = z >= u^2/2, so u = log1p(z + u)
+        # is at most log1p(z + sqrt(2z))
+        z = y / self.scale
+        u = _newton_down(lambda u: (_expm1_minus_float(u) - z) / math.expm1(u),
+                         math.log1p(z + math.sqrt(2.0 * z)))
+        return u / self.rate
+
 
 class LogYoung(_ScaleRate):
     """``phi(t) = scale * ((1 + rate*t) * log1p(rate*t) - rate*t)``.
@@ -201,6 +248,14 @@ class LogYoung(_ScaleRate):
 
     def conjugate(self):
         return ExpYoung(self.scale, self._conjugate_rate())
+
+    def _seed(self, y):
+        # l = log1p(rate t) solves exp(l) (expm1(-l) + l) = z >= l^2/2,
+        # and exp(l) (l - 1) < z puts l below log(z) once l >= 2
+        z = y / self.scale
+        l = _newton_down(lambda l: (_expm1_minus_float(-l) - z * math.exp(-l)) / l,
+                         min(math.sqrt(2.0 * z), max(2.0, math.log1p(z))))
+        return math.expm1(l) / self.rate
 
 
 class DensityYoung(YoungFunction):
@@ -246,6 +301,7 @@ class DensityYoung(YoungFunction):
         # Exact integrals of the interpolant up to each sample point.
         seg = 0.5 * (d[:-1] + d[1:]) * np.diff(s)
         self._cum = np.concatenate(([0.0], np.cumsum(seg)))
+        self._slope = np.append(np.diff(d) / np.diff(s), tail_slope)  # per segment, tail last
         self._s = s
         self._d = d
 
@@ -254,7 +310,7 @@ class DensityYoung(YoungFunction):
         s, d = self._s, self._d
         idx = np.clip(np.searchsorted(s, arr, side="right") - 1, 0, len(s) - 2)
         inside = arr <= s[-1]
-        slope_in = (d[idx + 1] - d[idx]) / (s[idx + 1] - s[idx])
+        slope_in = self._slope[idx]
         dt_in = np.minimum(arr, s[-1]) - s[idx]  # finite, so 0 * inf never arises
         val_in = self._cum[idx] + d[idx] * dt_in + 0.5 * slope_in * dt_in ** 2
         dt_out = arr - s[-1]
@@ -288,6 +344,14 @@ class DensityYoung(YoungFunction):
             )
         swapped = np.column_stack((self._d, self._s))
         return DensityYoung(swapped, tail_slope=1.0 / self.tail_slope)
+
+    def _seed(self, y):
+        # on the segment (or the tail) where phi reaches y, the stable root
+        # dt of cum + d dt + slope dt^2 / 2 = y
+        i = int(np.searchsorted(self._cum, y)) - 1
+        d, r = float(self._d[i]), y - float(self._cum[i])
+        root = math.hypot(d, math.sqrt(2.0 * float(self._slope[i])) * math.sqrt(r))
+        return float(self._s[i]) + 2.0 * r / (d + root)
 
     def to_json(self):
         return {"density": self.samples.tolist(), "tail_slope": self.tail_slope}

@@ -553,3 +553,40 @@ def test_norm_report_reads_one_set_of_atoms():
     assert rep["ratio"] == rep["orlicz"] / rep["luxemburg"] and rep["equivalence_ok"]
     assert rep["modular_at_luxemburg"] == modular(phi, h.scale(1.0 / rep["luxemburg"]))
     assert math.isclose(rep["modular_at_luxemburg"], 1.0, rel_tol=1e-9)
+
+
+def _gauge_root(phi, h, rel_tol):
+    """The gauge norm by the root solve of ``modular(u h) = 1``, posed directly."""
+    vals, mus = _atoms(h, 1e-9)
+    u = solve_monotone(lambda u: _weighted_sum(phi.eval, u, vals, mus), 1.0,
+                       lo=0.0, hi=1.0 / float(vals.max()), rel_tol=rel_tol)
+    return 1.0 / u
+
+
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-13])
+def test_closed_form_gauge_norms_agree_with_the_root_solve(rel_tol):
+    # one atom takes v / phi^{-1}(1/mu) in every family, several atoms of a
+    # power gauge M^(1/p); both are certified closed forms, not root solves
+    density = DensityYoung([(0.0, 0.0), (0.5, 0.3), (1.0, 1.0), (2.0, 3.0)], 2.0)
+    families = (PowerYoung(2.5, 0.7), ExpYoung(1.3, 0.7), LogYoung(0.8, 1.6), density)
+    families += tuple(phi.conjugate() for phi in families)
+    rng = np.random.default_rng(17)
+    for case in range(12):
+        one = _shells([10.0 ** rng.uniform(-3.0, 3.0)], [10.0 ** rng.uniform(-4.0, 3.0)])
+        n = int(rng.integers(2, 6))
+        several = _shells(10.0 ** rng.uniform(-3.0, 3.0, n), 10.0 ** rng.uniform(-4.0, 3.0, n))
+        power = PowerYoung(rng.uniform(1.05, 6.0), rng.uniform(0.3, 3.0))
+        for phi, h in [(phi, one) for phi in families] + [(power, several)]:
+            got = luxemburg_norm(phi, h, rel_tol=rel_tol)
+            assert math.isclose(got, _gauge_root(phi, h, rel_tol), rel_tol=rel_tol), (case, phi)
+            assert abs(norm_report(phi, h)["modular_at_luxemburg"] - 1.0) <= 1e-9, (case, phi)
+
+
+def test_a_power_norm_whose_closed_form_fails_its_certificate_is_solved(monkeypatch):
+    # with every certificate refused, the gauge norm is the plain root solve
+    h = _shells([0.5, 2.0, 3.0], [0.2, 0.1, 0.4])
+    phi = PowerYoung(3.0, 2.0)
+    want = luxemburg_norm(phi, h)
+    monkeypatch.setattr(norms, "_certifies", lambda *a, **k: False)
+    assert luxemburg_norm(phi, h) == _gauge_root(phi, h, 1e-10)
+    assert math.isclose(luxemburg_norm(phi, h), want, rel_tol=1e-10)

@@ -11,6 +11,7 @@ from orliczval.errors import (
     DomainError,
     InvalidDensityError,
 )
+from orliczval.numerics import _certifies, solve_monotone
 from orliczval.young import (
     ConjugatePair,
     DensityYoung,
@@ -384,3 +385,74 @@ def test_convexity_on_grids():
         assert np.all(mids <= 0.5 * (vals[:-1] + vals[1:]) + 1e-12)
         assert np.all(np.diff(vals) > 0.0)
         assert vals[0] == 0.0
+
+
+def _seeded_gauges(seed=31):
+    """Seeded gauges of the four families, as the benchmark draws them, and
+    their conjugates."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(3):
+        s = np.concatenate(([0.0], np.cumsum(rng.uniform(0.2, 0.8, 5))))
+        d = np.concatenate(([0.0], np.cumsum(rng.uniform(0.1, 1.0, 5))))
+        out += [PowerYoung(rng.uniform(1.3, 4.0), rng.uniform(0.5, 2.0)),
+                ExpYoung(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)),
+                LogYoung(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)),
+                DensityYoung(np.column_stack((s, d)), rng.uniform(0.5, 2.0))]
+    return out + [phi.conjugate() for phi in out]
+
+
+def _seeded_targets(phi, rng, count=40):
+    top = 300.0 if isinstance(phi, (PowerYoung, DensityYoung)) else 8.0
+    return [float(y) for y in 10.0 ** rng.uniform(-12.0, top, count)]
+
+
+@pytest.mark.parametrize("rel_tol", [1e-12, 1e-9])
+def test_each_seed_agrees_with_the_solve_and_its_bracket_holds(rel_tol):
+    rng = np.random.default_rng(7)
+    for phi in _seeded_gauges():
+        for y in _seeded_targets(phi, rng):
+            t = phi._seed(y)
+            solved = solve_monotone(phi.eval, y, lo=0.0, rel_tol=rel_tol)
+            assert abs(t - solved) <= 2.0 * rel_tol * solved, (phi, y, t, solved)
+            below, above = phi.eval(t * np.array([1.0 - rel_tol / 2.0, 1.0 + rel_tol / 2.0]))
+            assert below < y <= above, (phi, y)
+            assert phi.inverse(y, rel_tol) == t
+
+
+@pytest.mark.parametrize("bad_seed", [lambda t: 1.1 * t, lambda t: math.nan])
+def test_a_seed_that_fails_its_certificate_falls_back_to_the_solve(monkeypatch, bad_seed):
+    rng = np.random.default_rng(8)
+    for phi in _seeded_gauges():
+        cls = type(phi)
+        targets = _seeded_targets(phi, rng, 10)
+        seeds = [phi._seed(y) for y in targets]
+        with monkeypatch.context() as mp:
+            mp.setattr(cls, "_seed", lambda self, y: bad_seed(seeds[targets.index(y)]))
+            got = [phi.inverse(y) for y in targets]
+        assert got == [solve_monotone(phi.eval, y, lo=0.0) for y in targets], phi
+
+
+def test_inverse_neither_raises_nor_warns_at_extreme_arguments():
+    # the suite turns RuntimeWarnings into errors (see pyproject.toml); a
+    # seed that overflows, divides by zero or misses falls back to the solve
+    density = DensityYoung([(0.0, 0.0), (0.5, 0.3), (1.0, 1.0), (2.0, 3.0)], 2.0)
+    gauges = [PowerYoung(2.5, 0.7), PowerYoung(3.0, 1e-300), PowerYoung(3.0, 1e300),
+              ExpYoung(1e-300, 1e300), ExpYoung(1e300, 1e-300), ExpYoung(1e300, 1e300),
+              LogYoung(1e-300, 1e300), LogYoung(1e300, 1e-300), LogYoung(1e300, 1e300),
+              density, density.conjugate(), DensityYoung([(0.0, 0.0), (1.0, 0.0)], 2.0),
+              DensityYoung([(0.0, 0.0), (1.0, 1.0)], 1e-300)]
+    edges = [float(c) for c in density._cum[1:]] + [5e-324, 1e-310, 1e-200, 1.0, 1e300, 1.7e308]
+    fallbacks = 0
+    for phi in gauges:
+        for y in edges:
+            try:
+                seed = phi._seed(y)
+            except ArithmeticError:
+                seed = math.nan
+            if _certifies(phi.eval, y, seed):
+                assert phi.inverse(y) == seed, (phi, y)
+            else:
+                fallbacks += 1
+                assert phi.inverse(y) == solve_monotone(phi.eval, y, lo=0.0), (phi, y)
+    assert 0 < fallbacks < len(gauges) * len(edges)  # both branches are taken
