@@ -11,10 +11,8 @@ from .errors import (
     BracketError,
     CapabilityError,
     ConstructionError,
-    DensityResolutionError,
     DisjointnessError,
     DomainError,
-    InvalidDensityError,
     OrliczvalError,
     WitnessNotFoundError,
 )

@@ -6,15 +6,8 @@ class OrliczvalError(Exception):
 
 
 class DomainError(OrliczvalError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
-
-
-class InvalidDensityError(OrliczvalError, ValueError):
-    """A sampled density violates the structural requirements."""
-
-
-class DensityResolutionError(OrliczvalError):
-    """A sampled density is too coarse to support the requested operation."""
+    """An argument outside an operation's domain: a gauge or composer
+    parameter out of range, or a malformed ``(m, 2)`` sample table."""
 
 
 class BracketError(OrliczvalError):
@@ -32,7 +25,8 @@ class DisjointnessError(OrliczvalError, ValueError):
 class CapabilityError(OrliczvalError, NotImplementedError):
     """An exact algorithm is not available for this combination of inputs.
 
-    Where an estimation fallback exists, the message names it.
+    Where an estimation fallback exists, the message names it.  A density
+    with a flat segment has an exact conjugate that no sample table carries.
     """
 
 

@@ -276,6 +276,8 @@ class Polytope:
         return image
 
     def volume(self):
+        if self.dim == 1:
+            return float(np.ptp(self.vertices))
         if self.dim == 2:
             return polygon_area(self.vertices)
         return 0.0 if self.facets is None else _full_dim_volume_moment(self)[0]
@@ -284,14 +286,11 @@ class Polytope:
         """Integral of x over the polytope; zero on lower-dimensional ones."""
         if self.rank < self.dim:
             return np.zeros(self.dim)
+        if self.dim == 1:  # the segment [min, max]
+            return 0.5 * np.diff(self.vertices[:, 0] ** 2)
         if self.dim == 2:
             return polygon_moment(self.vertices)
         return _full_dim_volume_moment(self)[1]
-
-    def weighted_measure(self):
-        if self.dim != 2:
-            raise DomainError("closed-form weighted measure is 2D only")
-        return polygon_weighted_measure(self.vertices)
 
     def contains(self, point):
         return bool(self.contains_points(point)[0])

@@ -43,6 +43,7 @@ from .polytopes import (
     _edge_margin,
     _edges,
     _tolerances,
+    polygon_weighted_measure,
     split_polygon,
 )
 
@@ -194,7 +195,7 @@ def part_weighted_measure(part, abs_tol=1e-9):
         return ball_weighted_measure(part.dim, part.radius, part.offset, abs_tol)
     if isinstance(part, Polytope):
         if part.dim == 2:
-            return part.weighted_measure(), 0.0
+            return polygon_weighted_measure(part.vertices), 0.0
         if part.rank < part.dim:
             return 0.0, 0.0
         if part.dim == 3:

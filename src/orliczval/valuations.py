@@ -32,7 +32,7 @@ from .regions import (
     radial_part,
     unit_ball_volume,
 )
-from .young import young_from_json
+from .young import _sample_table, young_from_json
 
 # The growth checks' sample heights: check_cphi, the only growth
 # certificate, reads the growth grid, and the divergence witness search
@@ -123,32 +123,24 @@ class TabulatedComposer(Composer):
 
     The sample range must contain 0 and interpolate to exactly 0 there;
     beyond the range the edge segments extend linearly, keeping the
-    function continuous everywhere.
+    function continuous everywhere.  As in ``DensityYoung``, the
+    extension past the last sample is the last segment.
     """
 
     def __init__(self, samples):
-        samples = np.asarray(samples, float)
-        if samples.ndim != 2 or samples.shape[1] != 2 or len(samples) < 2:
-            raise DomainError("need an (m, 2) sample table with m >= 2")
-        if not np.all(np.isfinite(samples)):
-            raise DomainError("samples must be finite")
-        t = samples[:, 0]
-        if np.any(np.diff(t) <= 0.0):
-            raise DomainError("sample points must be strictly increasing")
-        if not (t[0] <= 0.0 <= t[-1]):
+        self.samples = samples = _sample_table(samples)
+        slope = np.diff(samples[:, 1]) / np.diff(samples[:, 0])
+        self._slope = np.append(slope, slope[-1])
+        if not samples[0, 0] <= 0.0 <= samples[-1, 0]:
             raise DomainError("sample range must contain 0")
-        if abs(np.interp(0.0, t, samples[:, 1])) > 1e-12:
+        if abs(self._values(0.0)) > 1e-12:
             raise DomainError("samples must interpolate to 0 at 0")
-        self.samples = samples
-        self._slope_lo = (samples[1, 1] - samples[0, 1]) / (t[1] - t[0])
-        self._slope_hi = (samples[-1, 1] - samples[-2, 1]) / (t[-1] - t[-2])
 
     def _values(self, arr):
-        ts, vs = self.samples[:, 0], self.samples[:, 1]
-        inner = np.interp(arr, ts, vs)
-        below = vs[0] + self._slope_lo * (arr - ts[0])
-        above = vs[-1] + self._slope_hi * (arr - ts[-1])
-        return np.where(arr < ts[0], below, np.where(arr > ts[-1], above, inner))
+        # v_i + slope_i (t - t_i); the first segment also extends below t_0
+        ts = self.samples[:, 0]
+        i = np.maximum(np.searchsorted(ts, arr, side="right") - 1, 0)
+        return self.samples[i, 1] + self._slope[i] * (arr - ts[i])
 
     def to_json(self):
         return {"kind": "tabulated", "samples": self.samples.tolist()}
@@ -407,23 +399,26 @@ def _ball_ledger(plan, J, ball_tol):
     return regions, rows
 
 
-def divergent_truncation(plan, J, abs_tol=1e-6):
+_TRUNCATION_TOL = 1e-6  # divergent_truncation's modular tolerance
+
+
+def divergent_truncation(plan, J):
     """The J-term truncation with its modular and moment bookkeeping.
 
     Returns the truncated simple function, its modular (quadrature)
     together with the closed-form cap sum of 2**-i_j <= 1, and the
     first moment coordinate with its per-term lower bounds
     c_j / (c_j + r_j), with the ball ledger as the row table.  The
-    modular tolerance is coarse because the only claim made about the
-    modular is its distance to the closed-form cap.  Ball j is measured
-    to ``abs_tol / (J phi(|beta_j|))``, so the modular, read from the
-    ledger, is within ``abs_tol`` even where far balls put an equal
-    share of ``abs_tol`` out of reach.
+    modular tolerance ``_TRUNCATION_TOL`` is coarse because the only
+    claim made about the modular is its distance to the closed-form cap.
+    Ball j is measured to ``_TRUNCATION_TOL / (J phi(|beta_j|))``, so
+    the modular, read from the ledger, is within the tolerance even
+    where far balls put an equal share of it out of reach.
     """
     if not 1 <= J <= len(plan):
         raise DomainError(f"J must lie in [1, {len(plan)}]")
     gauges = np.asarray(plan.phi.eval(np.abs(plan.betas[:J])), float)
-    regions, rows = _ball_ledger(plan, J, abs_tol / (J * gauges))
+    regions, rows = _ball_ledger(plan, J, _TRUNCATION_TOL / (J * gauges))
     h = SimpleFunction(plan.dim, zip(plan.betas, regions))
     h.check_disjoint()
     return {

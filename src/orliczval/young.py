@@ -17,12 +17,12 @@ with a sampled-density family:
     as ``t -> 0``, where the closed forms cancel (see ``_expm1_minus``).
 ``DensityYoung(samples, tail_slope)``
     ``phi'`` given by samples ``(s_i, d_i)`` interpolated piecewise
-    linearly, extended linearly beyond the last sample.  Evaluation
-    integrates the interpolant in closed form per segment, so no
-    quadrature error enters.  When the sampled values are strictly
-    increasing the conjugate is again a ``DensityYoung`` with the
-    sample columns swapped and the tail slope inverted, which makes
-    biconjugation exactly involutive.
+    linearly, the tail past the last sample being the last segment.
+    Evaluation integrates each segment in closed form, so no quadrature
+    error enters.  When the sampled values are strictly increasing the
+    conjugate is again a ``DensityYoung`` with the sample columns
+    swapped and the tail slope inverted, which makes biconjugation
+    exactly involutive; a flat segment raises ``CapabilityError``.
 
 The conjugate is ``phi*(t) = integral_0^t sup{s : phi'(s) <= t} ds``;
 Young's inequality ``s*t <= phi(s) + phi*(t)`` holds with equality at
@@ -40,11 +40,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (
-    DensityResolutionError,
-    DomainError,
-    InvalidDensityError,
-)
+from .errors import CapabilityError, DomainError
 from .numerics import _certifies, solve_monotone
 
 
@@ -58,6 +54,22 @@ def _as_nonnegative(t):
 
 def _scalar_like(t, arr):
     return float(arr) if np.ndim(t) == 0 else arr
+
+
+def _sample_table(samples):
+    """``samples`` of a density or a composer as an ``(m, 2)`` float table: ``m >= 2``
+    finite rows, the first column strictly increasing; else ``DomainError``."""
+    try:
+        table = np.asarray(samples, dtype=float)
+    except ValueError:  # ragged rows
+        table = np.empty(0)
+    if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] < 2:
+        raise DomainError("need an (m, 2) sample table with m >= 2")
+    if not np.all(np.isfinite(table)):
+        raise DomainError("samples must be finite")
+    if np.any(np.diff(table[:, 0]) <= 0.0):
+        raise DomainError("sample points must be strictly increasing")
+    return table
 
 
 # Taylor coefficients 1/k! of expm1(x) - x, highest first, k = 18 ... 2
@@ -160,9 +172,9 @@ class PowerYoung(YoungFunction):
     def __post_init__(self):
         self.p, self.scale = float(self.p), float(self.scale)
         if not 1.0 < self.p < math.inf:
-            raise InvalidDensityError(f"power family needs finite p > 1, got {self.p!r}")
+            raise DomainError(f"power family needs finite p > 1, got {self.p!r}")
         if not 0.0 < self.scale < math.inf:
-            raise InvalidDensityError(f"scale must be positive and finite, got {self.scale!r}")
+            raise DomainError(f"scale must be positive and finite, got {self.scale!r}")
 
     def eval(self, t):
         arr = _as_nonnegative(t)
@@ -192,7 +204,7 @@ class _ScaleRate(YoungFunction):
     def __post_init__(self):
         self.scale, self.rate = float(self.scale), float(self.rate)
         if not (0.0 < self.scale < math.inf and 0.0 < self.rate < math.inf):
-            raise InvalidDensityError("scale and rate must be positive and finite")
+            raise DomainError("scale and rate must be positive and finite")
 
     def _conjugate_rate(self):
         """``1 / (scale * rate)``, the rate of the conjugate family."""
@@ -274,55 +286,37 @@ class DensityYoung(YoungFunction):
     """
 
     def __init__(self, samples, tail_slope=None):
-        samples = np.asarray(samples, dtype=float)
-        if samples.ndim != 2 or samples.shape[1] != 2 or samples.shape[0] < 2:
-            raise InvalidDensityError("need an (m, 2) sample table with m >= 2")
-        s = samples[:, 0]
-        d = samples[:, 1]
-        if not np.all(np.isfinite(samples)):
-            raise InvalidDensityError("density samples must be finite")
+        samples = _sample_table(samples)
+        s, d = samples[:, 0], samples[:, 1]
         if s[0] != 0.0 or d[0] != 0.0:
-            raise InvalidDensityError("the density must start at (0, 0)")
-        if np.any(np.diff(s) <= 0.0):
-            raise InvalidDensityError("sample points must be strictly increasing")
+            raise DomainError("the density must start at (0, 0)")
         if np.any(np.diff(d) < 0.0):
-            raise InvalidDensityError("density values must be nondecreasing")
+            raise DomainError("density values must be nondecreasing")
+        slope = np.diff(d) / np.diff(s)
         if tail_slope is None:
-            tail_slope = (d[-1] - d[-2]) / (s[-1] - s[-2])
-            if tail_slope <= 0.0:
-                tail_slope = d[-1] / s[-1]
-            if tail_slope <= 0.0:
-                tail_slope = 1.0
+            tail_slope = next((x for x in (slope[-1], d[-1] / s[-1]) if x > 0.0), 1.0)
         tail_slope = float(tail_slope)
         if not 0.0 < tail_slope < math.inf:
-            raise InvalidDensityError("tail slope must be positive and finite")
-        self.samples = samples
-        self.tail_slope = tail_slope
-        # Exact integrals of the interpolant up to each sample point.
-        seg = 0.5 * (d[:-1] + d[1:]) * np.diff(s)
-        self._cum = np.concatenate(([0.0], np.cumsum(seg)))
-        self._slope = np.append(np.diff(d) / np.diff(s), tail_slope)  # per segment, tail last
-        self._s = s
-        self._d = d
+            raise DomainError("tail slope must be positive and finite")
+        self.samples, self.tail_slope = samples, tail_slope
+        # per segment, the tail last: phi (_cum) and phi' (_d) at its start, its slope
+        self._cum = np.concatenate(([0.0], np.cumsum(0.5 * (d[:-1] + d[1:]) * np.diff(s))))
+        self._slope = np.append(slope, tail_slope)
+        self._s, self._d = s, d
+
+    def _segment(self, t):
+        """The segment index ``i`` of each ``t >= 0`` and its offset ``t - s_i``."""
+        arr = _as_nonnegative(t)
+        i = np.searchsorted(self._s, arr, side="right") - 1
+        return i, arr - self._s[i]
 
     def eval(self, t):
-        arr = _as_nonnegative(t)
-        s, d = self._s, self._d
-        idx = np.clip(np.searchsorted(s, arr, side="right") - 1, 0, len(s) - 2)
-        inside = arr <= s[-1]
-        slope_in = self._slope[idx]
-        dt_in = np.minimum(arr, s[-1]) - s[idx]  # finite, so 0 * inf never arises
-        val_in = self._cum[idx] + d[idx] * dt_in + 0.5 * slope_in * dt_in ** 2
-        dt_out = arr - s[-1]
-        lin = d[-1] * dt_out if d[-1] else 0.0  # an all-zero table meets no 0 * inf
-        val_out = self._cum[-1] + lin + 0.5 * self.tail_slope * dt_out ** 2
-        return _scalar_like(t, np.where(inside, val_in, val_out))
+        i, dt = self._segment(t)
+        return _scalar_like(t, self._cum[i] + dt * (self._d[i] + 0.5 * self._slope[i] * dt))
 
     def density(self, s_query):
-        arr = _as_nonnegative(s_query)
-        inside = np.interp(arr, self._s, self._d)
-        out = self._d[-1] + self.tail_slope * (arr - self._s[-1])
-        return _scalar_like(s_query, np.where(arr <= self._s[-1], inside, out))
+        i, dt = self._segment(s_query)
+        return _scalar_like(s_query, self._d[i] + self._slope[i] * dt)
 
     def conjugate(self):
         """Transpose the sample table; exact and involutive.
@@ -331,12 +325,12 @@ class DensityYoung(YoungFunction):
         its sup-inverse is the plain inverse whenever the sampled values
         are strictly increasing, and that inverse is the piecewise
         linear interpolant through the swapped samples ``(d_i, s_i)``.
-        Flat segments would put a jump into the inverse that no sample
-        table can carry, hence the resolution error.
+        A flat segment puts a jump into the inverse: the exact conjugate
+        exists, but no sample table can carry it, hence ``CapabilityError``.
         """
         if np.any(np.diff(self._d) <= 0.0):
             i = int(np.argmin(np.diff(self._d)))
-            raise DensityResolutionError(
+            raise CapabilityError(
                 "density grid too coarse to invert: flat segment at "
                 f"s in [{float(self._s[i])!r}, {float(self._s[i + 1])!r}] "
                 f"(value {float(self._d[i])!r}); refine the samples so the "

@@ -170,6 +170,13 @@ def test_cli_young_delta2_exp(capsys):
     assert json.loads(out)["holds"] is False
 
 
+def test_cli_density_tail_with_a_small_slope_stays_finite(capsys):
+    phi = '{"density": [[0,0],[1,1]], "tail_slope": 1e-300}'
+    rc, out, err = run_cli(capsys, "young", "eval", "--phi", phi, "--t", "1e200")
+    assert (rc, err) == (0, "")
+    assert '"value": 1e+200' in out
+
+
 def test_cli_young_shorthand_phi(capsys):
     rc, out, _ = run_cli(capsys, "young", "eval", "--phi", "power:2:3",
                          "--t", "2")
@@ -182,6 +189,12 @@ def test_cli_moment_triangle(capsys):
     assert rc == 0
     vec = json.loads(out)["moment"]
     assert vec == pytest.approx([1.0 / 6.0, 1.0 / 6.0], abs=1e-15)
+
+
+def test_cli_moment_of_a_segment(capsys):
+    rc, out, err = run_cli(capsys, "moment", "--poly", "[[0],[1]]")
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == {"dim": 1, "moment": [0.5]}
 
 
 def test_cli_moment_region(capsys):

@@ -137,6 +137,15 @@ def test_hull_degenerate_inputs():
     assert seg.volume() == 0.0
 
 
+def test_one_dimensional_polytopes_are_segments():
+    # [a, b] has volume b - a and moment (b^2 - a^2) / 2; a point has neither
+    for pts, volume, moment in (([[0.0], [1.0]], 1.0, 0.5),
+                                ([[3.0], [-2.0], [0.5]], 5.0, 2.5),
+                                ([[0.75]], 0.0, 0.0)):
+        poly = Polytope(pts)
+        assert poly.volume() == volume and poly.moment().tolist() == [moment], pts
+
+
 def test_duplicated_unsorted_degenerate_clouds():
     # repeats and any input order: vertices are input points in canonical
     # order, and every permutation gives an equal polytope

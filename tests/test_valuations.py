@@ -98,6 +98,25 @@ def test_tabulated_composer_interpolation_and_extension():
     assert math.isclose(xi(-2.0), -4.0)
 
 
+def test_tabulated_composer_matches_interp_with_linear_edges():
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        m = int(rng.integers(2, 10))
+        ts = np.cumsum(rng.uniform(0.01, 2.0, m))
+        ts -= ts[int(rng.integers(0, m))]  # 0 is a sample point
+        vs = rng.normal(0.0, 3.0, m)
+        vs[ts == 0.0] = 0.0
+        xi = TabulatedComposer(np.column_stack((ts, vs)))
+        t = np.concatenate((ts, rng.uniform(ts[0], ts[-1], 20),
+                            ts[0] - np.geomspace(1e-6, 1e6, 10), ts[-1] + np.geomspace(1e-6, 1e6, 10)))
+        lo = (vs[1] - vs[0]) / (ts[1] - ts[0])
+        hi = (vs[-1] - vs[-2]) / (ts[-1] - ts[-2])
+        want = np.where(t < ts[0], vs[0] + lo * (t - ts[0]),
+                        np.where(t > ts[-1], vs[-1] + hi * (t - ts[-1]), np.interp(t, ts, vs)))
+        np.testing.assert_array_max_ulp(xi(t), want, maxulp=4)
+        assert np.array_equal(xi(ts), vs)  # every sample, the last included
+
+
 def test_tabulated_composer_validation():
     with pytest.raises(DomainError):
         TabulatedComposer([[1.0, 1.0], [2.0, 2.0]])  # range misses 0

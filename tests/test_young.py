@@ -6,11 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from orliczval.errors import (
-    DensityResolutionError,
-    DomainError,
-    InvalidDensityError,
-)
+from orliczval.errors import CapabilityError, DomainError
 from orliczval.numerics import _certifies, solve_monotone
 from orliczval.young import (
     ConjugatePair,
@@ -210,12 +206,12 @@ def test_density_conjugate_matches_legendre_oracle():
 
 def test_flat_density_segment_blocks_conjugation():
     phi = DensityYoung([(0.0, 0.0), (1.0, 1.0), (2.0, 1.0), (3.0, 2.0)])
-    with pytest.raises(DensityResolutionError):
+    with pytest.raises(CapabilityError):
         phi.conjugate()
 
 
 def test_density_texts_print_plain_floats():
-    with pytest.raises(DensityResolutionError) as info:
+    with pytest.raises(CapabilityError) as info:
         DensityYoung([[0, 0], [1, 0], [2, 1]]).conjugate()
     assert str(info.value) == (
         "density grid too coarse to invert: flat segment at s in [0.0, 1.0] "
@@ -225,17 +221,17 @@ def test_density_texts_print_plain_floats():
 
 
 def test_density_validation():
-    with pytest.raises(InvalidDensityError):
+    with pytest.raises(DomainError):
         DensityYoung([(0.0, 0.0), (1.0, 2.0), (2.0, 1.0)])   # decreasing
-    with pytest.raises(InvalidDensityError):
+    with pytest.raises(DomainError):
         DensityYoung([(0.5, 0.0), (1.0, 1.0)])               # s0 != 0
-    with pytest.raises(InvalidDensityError):
+    with pytest.raises(DomainError):
         DensityYoung([(0.0, 0.5), (1.0, 1.0)])               # d0 != 0
-    with pytest.raises(InvalidDensityError):
+    with pytest.raises(DomainError):
         DensityYoung([(0.0, 0.0), (1.0, 1.0)], tail_slope=0.0)
-    with pytest.raises(InvalidDensityError):
+    with pytest.raises(DomainError):
         PowerYoung(1.0)
-    with pytest.raises(InvalidDensityError):
+    with pytest.raises(DomainError):
         ExpYoung(scale=-1.0)
 
 
@@ -248,7 +244,7 @@ def test_every_parameter_must_be_positive_and_finite():
                      lambda x: LogYoung(x), lambda x: LogYoung(1.0, x),
                      lambda x: DensityYoung([(0.0, 0.0), (1.0, 1.0)], tail_slope=x),
                      lambda x: young_from_json({"family": "exp", "params": {"rate": x}})):
-            with pytest.raises(InvalidDensityError, match="finite"):
+            with pytest.raises(DomainError, match="finite"):
                 make(bad)
 
 
@@ -348,7 +344,9 @@ def test_every_family_is_infinite_at_infinity_without_warnings():
     families = (PowerYoung(2.5), ExpYoung(), LogYoung(),
                 DensityYoung([(0.0, 0.0), (1.0, 1.0)]),
                 DensityYoung([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)]),
-                DensityYoung([(0.0, 0.0), (1.0, 0.0)], 2.0))
+                DensityYoung([(0.0, 0.0), (1.0, 0.0)], 2.0),
+                DensityYoung([(0.0, 0.0), (1.0, 0.0)], 1.0),
+                DensityYoung([(0.0, 0.0), (1.0, 1.0)], 1e-300))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for phi in families:
@@ -456,3 +454,68 @@ def test_inverse_neither_raises_nor_warns_at_extreme_arguments():
                 fallbacks += 1
                 assert phi.inverse(y) == solve_monotone(phi.eval, y, lo=0.0), (phi, y)
     assert 0 < fallbacks < len(gauges) * len(edges)  # both branches are taken
+
+
+def test_a_small_tail_slope_neither_overflows_nor_warns():
+    # phi(t) = 1/2 + x + 1e-300 x^2 / 2 with x = t - 1 past the last sample:
+    # the tail's square must be scaled before it can overflow
+    import warnings
+
+    phi = DensityYoung([(0.0, 0.0), (1.0, 1.0)], 1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isclose(phi.eval(1e200), 1e200, rel_tol=1e-15)
+        assert math.isclose(phi.density(1e200), 1.0 + 1e-100, rel_tol=1e-15)
+        t = phi.inverse(1e300)
+        assert math.isclose(t, (math.sqrt(3.0) - 1.0) * 1e300, rel_tol=1e-12)
+        assert _certifies(phi.eval, 1e300, t, 1e-12)
+
+
+def _two_branch_eval(phi, t):
+    """``phi`` by the former formulas: segments up to the last sample, then the tail."""
+    s, d = phi.samples[:, 0], phi.samples[:, 1]
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (d[:-1] + d[1:]) * np.diff(s))))
+    idx = np.clip(np.searchsorted(s, t, side="right") - 1, 0, len(s) - 2)
+    dt_in = np.minimum(t, s[-1]) - s[idx]
+    val_in = cum[idx] + d[idx] * dt_in + 0.5 * (np.diff(d) / np.diff(s))[idx] * dt_in ** 2
+    dt_out = t - s[-1]
+    val_out = cum[-1] + d[-1] * dt_out + 0.5 * phi.tail_slope * dt_out ** 2
+    return np.where(t <= s[-1], val_in, val_out)
+
+
+def _two_branch_density(phi, t):
+    s, d = phi.samples[:, 0], phi.samples[:, 1]
+    return np.where(t <= s[-1], np.interp(t, s, d), d[-1] + phi.tail_slope * (t - s[-1]))
+
+
+def test_one_segment_formula_agrees_with_the_two_branch_formulas():
+    rng = np.random.default_rng(20)
+    for _ in range(40):
+        m = int(rng.integers(2, 12))
+        s = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 2.0, m - 1))))
+        rise = rng.uniform(0.0, 3.0, m - 1) * (rng.random(m - 1) > 0.25)  # some flat
+        d = np.concatenate(([0.0], np.cumsum(rise)))
+        tail = None if rng.random() < 0.5 else float(rng.uniform(0.01, 5.0))
+        phi = DensityYoung(np.column_stack((s, d)), tail)
+        t = np.concatenate((s, 0.5 * (s[:-1] + s[1:]), rng.uniform(0.0, s[-1], 20),
+                            s[-1] + np.geomspace(1e-9, 1e12, 20)))
+        for f, two_branch in ((phi.eval, _two_branch_eval), (phi.density, _two_branch_density)):
+            old = two_branch(phi, t)
+            assert np.all(np.isfinite(old))
+            np.testing.assert_array_max_ulp(f(t), old, maxulp=4)
+            assert [f(float(x)) for x in t[::7]] == list(f(t)[::7])  # scalars alike
+
+
+def test_both_sampled_tables_share_one_validator():
+    from orliczval.valuations import TabulatedComposer
+
+    for table, message in (([[0.0, 0.0], [1.0]], "need an (m, 2) sample table"),
+                           ([[0.0, 0.0]], "need an (m, 2) sample table"),
+                           ([[0.0, 0.0], [1.0, math.nan]], "samples must be finite"),
+                           ([[0.0, 0.0], [0.0, 1.0]], "strictly increasing")):
+        said = []
+        for make in (DensityYoung, TabulatedComposer):
+            with pytest.raises(DomainError) as info:
+                make(table)
+            said.append(str(info.value))
+        assert said[0] == said[1] and message in said[0], table
