@@ -41,7 +41,6 @@ from .regions import (
     unit_ball_volume,
 )
 from .polytopes import (
-    PlanarCoefficients,
     Polytope,
     cone_hull,
     continuity_constraint_system,

@@ -60,8 +60,11 @@ def solve_monotone(f, target, lo=0.0, hi=None, rel_tol=1e-12):
     (default ``max(1, 2*lo)``) above ``lo`` listed in the module docstring.
     Returns the midpoint, a float, of the final bracket
     ``f(lo) < target <= f(hi)`` of relative width ``rel_tol``.
-    Raises ``BracketError`` on a NaN, on ``f(lo) > target`` or with no bracket.
+    Raises ``BracketError`` on a target that is not finite (inf would give
+    the edge where ``f`` overflows), a NaN, ``f(lo) > target`` or no bracket.
     """
+    if not -math.inf < target < math.inf:
+        raise BracketError(f"cannot solve for the target {target!r}: it is not finite")
     def g(x):
         y = np.asarray(f(x), float)
         if np.isnan(y).any():

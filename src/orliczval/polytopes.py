@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -490,32 +489,22 @@ def visible_span(poly):
     return v[(i + 1) % len(v)] - v[i - 1 if kind == "vertex" else i]
 
 
-@dataclass(frozen=True)
-class PlanarCoefficients:
-    """Coefficients (c1, c1t, c2, c2t, c3, c3t) of the planar family."""
-
-    c1: float = 0.0
-    c1t: float = 0.0
-    c2: float = 0.0
-    c2t: float = 0.0
-    c3: float = 0.0
-    c3t: float = 0.0
-
-
-def planar_valuation(poly, coeffs):
+def planar_valuation(poly, c1=0.0, c1t=0.0, c2=0.0, c2t=0.0, c3=0.0, c3t=0.0):
     """Planar six-coefficient family combining moments and edge terms.
 
     value = c1*m(Q) + c1t*m([0,Q]) + c2*e([0,Q]) + c3*h([0,Q])
           + c2t*e([0,u_1..u_r]) + c3t*h([0,u_1..u_r]),
     where u_1..u_r is the visible chain of Q: the moments plus
     ``_edge_basis(Q) @ (c2, c2t, c3, c3t)``.  The chain terms vanish
-    when the cone over the chain is lower-dimensional.
+    when the cone over the chain is lower-dimensional.  The six
+    coefficients are plain numbers, 0 unless given, as in
+    :func:`spatial_valuation`.
     """
     if poly.dim != 2:
         raise DomainError("the six-coefficient family is planar")
     cone = cone_hull(poly)
-    out = coeffs.c1 * poly.moment() + coeffs.c1t * cone.moment()
-    return out + _edge_basis(poly, cone) @ np.array([coeffs.c2, coeffs.c2t, coeffs.c3, coeffs.c3t])
+    return (c1 * poly.moment() + c1t * cone.moment()
+            + _edge_basis(poly, cone) @ np.array([c2, c2t, c3, c3t]))
 
 
 def spatial_valuation(poly, c1, c2):

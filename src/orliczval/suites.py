@@ -29,12 +29,12 @@ from .regions import (
 from .valuations import (
     OddComposer,
     PolynomialComposer,
-    _ball_ledger,
     build_divergence_plan,
     check_cphi,
     check_covariance,
     check_valuation_identity,
     continuity_probe,
+    divergent_truncation,
 )
 from .young import ExpYoung, LogYoung, PowerYoung, limit_report
 
@@ -196,17 +196,19 @@ def suite_constraint_system():
     rows = [{"label": label, "c2": row[0], "c2_tilde": row[1],
              "c3": row[2], "c3_tilde": row[3], "rhs": 0.0}
             for label, row in zip(report["labels"], matrix)]
+    residual_ok = report["affine_residual"] <= 1e-12
     ok = (report["rank"] == 4 and report["unique_zero_solution"]
-          and report["affine_residual"] <= 1e-12 and have_required)
+          and residual_ok and have_required)
     return {"name": "constraint-system", "ok": ok, "rows": rows,
             "summary": {"rank": report["rank"],
                         "unique_zero_solution": report["unique_zero_solution"],
                         "affine_residual": report["affine_residual"],
+                        "affine_residual_ok": residual_ok,
                         "intermediate_equations_present": have_required,
                         "ok": ok}}
 
 
-# the ball ledger's columns as the divergence table names them, in its order
+# the truncation table's columns as the divergence table names them, in its order
 _DIVERGENCE_COLUMNS = {"j": "j", "beta": "beta", "center": "center",
                        "radius": "radius", "modular_prefix": "modular_prefix",
                        "modular_cap": "modular_cap",
@@ -218,33 +220,37 @@ _DIVERGENCE_COLUMNS = {"j": "j", "beta": "beta", "center": "center",
 def suite_divergence(terms=50):
     """Bounded-modular ball family with divergent first moment (deterministic).
 
-    The table is the ball ledger of ``valuations`` with each ball
-    measured to 1e-8.
+    The table is the row table of ``valuations.divergent_truncation``,
+    whose modular is within 1e-8: the slack of the per-prefix check.
+    Each pass condition has its own summary flag.
     """
     phi = PowerYoung(2.0)
     xi = PolynomialComposer([0.0, 0.0, 0.0, 1.0])
     growth = check_cphi(xi, phi)
-    _, ledger = _ball_ledger(build_divergence_plan(xi, phi, terms), terms, 1e-8)
+    table = divergent_truncation(build_divergence_plan(xi, phi, terms), terms)["rows"]
     rows = [{name: row[key] for key, name in _DIVERGENCE_COLUMNS.items()}
-            for row in ledger]
+            for row in table]
     every_prefix_ok = all(
         row["modular_prefix"] <= min(row["modular_cap"], 1.0) + 1e-8
         and row["ratio"] > 0.8 for row in rows)
     last = rows[-1]
     threshold = 0.8 * terms  # 40 at the reference length of 50 terms
+    exceeds = last["lower_bound_prefix"] > threshold
+    above_bound = last["moment_prefix"] > last["lower_bound_prefix"]
     ok = (not growth["certified_on_grid"] and growth["diverges_large_end"]
-          and every_prefix_ok and last["lower_bound_prefix"] > threshold
-          and last["moment_prefix"] > last["lower_bound_prefix"])
+          and every_prefix_ok and exceeds and above_bound)
     return {"name": "divergence", "ok": ok, "rows": rows,
             "summary": {"terms": terms,
                         "growth_flagged": not growth["certified_on_grid"],
+                        "growth_diverges_large_end": growth["diverges_large_end"],
                         "modular_final": last["modular_prefix"],
                         "modular_cap": last["modular_cap"],
+                        "every_prefix_within_cap": every_prefix_ok,
                         "moment_final": last["moment_prefix"],
                         "lower_bound_final": last["lower_bound_prefix"],
+                        "moment_exceeds_lower_bound": above_bound,
                         "lower_bound_threshold": threshold,
-                        "lower_bound_exceeds_threshold":
-                            last["lower_bound_prefix"] > threshold,
+                        "lower_bound_exceeds_threshold": exceeds,
                         "ok": ok}}
 
 

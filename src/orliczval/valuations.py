@@ -28,8 +28,8 @@ from .polytopes import Polytope
 from .regions import (
     Region,
     ShiftedBall,
-    radial_interval,
     radial_part,
+    refinement_cells,
     unit_ball_volume,
 )
 from .young import _sample_table, young_from_json
@@ -123,7 +123,8 @@ class TabulatedComposer(Composer):
 
     The sample range must contain 0 and interpolate to exactly 0 there;
     beyond the range the edge segments extend linearly, keeping the
-    function continuous everywhere.  As in ``DensityYoung``, the
+    function continuous everywhere; at +-inf a flat edge gives its
+    sample value and a sloped one +-inf.  As in ``DensityYoung``, the
     extension past the last sample is the last segment.
     """
 
@@ -137,10 +138,13 @@ class TabulatedComposer(Composer):
             raise DomainError("samples must interpolate to 0 at 0")
 
     def _values(self, arr):
-        # v_i + slope_i (t - t_i); the first segment also extends below t_0
+        # v_i + slope_i (t - t_i); the first segment also extends below t_0,
+        # and a flat edge keeps its sample value out to +-inf (0 * inf is NaN)
         ts = self.samples[:, 0]
         i = np.maximum(np.searchsorted(ts, arr, side="right") - 1, 0)
-        return self.samples[i, 1] + self._slope[i] * (arr - ts[i])
+        with np.errstate(invalid="ignore"):
+            step = self._slope[i] * (arr - ts[i])
+        return self.samples[i, 1] + np.where(np.isinf(arr) & (self._slope[i] == 0.0), 0.0, step)
 
     def to_json(self):
         return {"kind": "tabulated", "samples": self.samples.tolist()}
@@ -363,28 +367,35 @@ def build_divergence_plan(xi, phi, count, dim=2):
     return plan
 
 
-def _ball_ledger(plan, J, ball_tol):
-    """The running table of the first ``J`` balls of ``plan``.
+_MODULAR_TOL = 1e-8  # what the measured modular of a truncation may be off by
 
-    Returns the balls as one-part regions and one row per ball, all
-    numbers Python floats: the ball's Lebesgue and weighted measure
-    (``mu``, to ``ball_tol``, a float or one per ball), its first moment
-    term and the ratio c_j / (c_j + r_j), and the running sums of the
-    moment terms, of the ratios (the lower bound), of the modular terms
-    phi(|beta_j|) mu_j and of their caps 2**-i_j.  The only code that
-    tabulates the family.
+
+def divergent_truncation(plan, J):
+    """The J-term truncation with its modular and moment bookkeeping.
+
+    Returns the truncated simple function, its measured modular with
+    the closed-form cap sum of 2**-i_j <= 1, the first moment
+    coordinate with its lower bound sum of c_j / (c_j + r_j), and one
+    row per ball, all numbers Python floats: the ball's Lebesgue and
+    weighted measure ``mu``, its first moment term and ratio, and the
+    running sums of the moment terms, of the ratios (the lower bound),
+    of the modular terms phi(|beta_j|) mu_j and of their caps 2**-i_j.
+    Ball j is measured to ``_MODULAR_TOL / (J phi(|beta_j|))``, so the
+    modular is within ``_MODULAR_TOL`` however the error falls on the
+    balls.  The only code that tabulates the family.
     """
+    if not 1 <= J <= len(plan):
+        raise DomainError(f"J must lie in [1, {len(plan)}]")
     omega = unit_ball_volume(plan.dim)
     regions = [Region([plan.ball(j)]) for j in range(J)]
     xis = np.asarray(plan.xi(np.array(plan.betas[:J]))).tolist()
     gauges = np.asarray(plan.phi.eval(np.abs(plan.betas[:J]))).tolist()
-    tols = np.broadcast_to(np.asarray(ball_tol, float), (J,)).tolist()
     rows = []
     moment = lower = mod = cap = 0.0
     for j in range(J):
         beta, c, r = plan.betas[j], plan.centers[j], plan.radii[j]
         lam = omega * r ** plan.dim
-        mu = float(regions[j].weighted_measure(tols[j]).value)
+        mu = float(regions[j].weighted_measure(_MODULAR_TOL / (J * gauges[j])).value)
         term = xis[j] * c * lam
         ratio = c / (c + r)
         moment += term
@@ -396,48 +407,20 @@ def _ball_ledger(plan, J, ball_tol):
                      "moment_term": term, "ratio": ratio,
                      "running_moment": moment, "running_lower_bound": lower,
                      "mu": mu, "modular_prefix": mod, "modular_cap": cap})
-    return regions, rows
-
-
-_TRUNCATION_TOL = 1e-6  # divergent_truncation's modular tolerance
-
-
-def divergent_truncation(plan, J):
-    """The J-term truncation with its modular and moment bookkeeping.
-
-    Returns the truncated simple function, its modular (quadrature)
-    together with the closed-form cap sum of 2**-i_j <= 1, and the
-    first moment coordinate with its per-term lower bounds
-    c_j / (c_j + r_j), with the ball ledger as the row table.  The
-    modular tolerance ``_TRUNCATION_TOL`` is coarse because the only
-    claim made about the modular is its distance to the closed-form cap.
-    Ball j is measured to ``_TRUNCATION_TOL / (J phi(|beta_j|))``, so
-    the modular, read from the ledger, is within the tolerance even
-    where far balls put an equal share of it out of reach.
-    """
-    if not 1 <= J <= len(plan):
-        raise DomainError(f"J must lie in [1, {len(plan)}]")
-    gauges = np.asarray(plan.phi.eval(np.abs(plan.betas[:J])), float)
-    regions, rows = _ball_ledger(plan, J, _TRUNCATION_TOL / (J * gauges))
     h = SimpleFunction(plan.dim, zip(plan.betas, regions))
     h.check_disjoint()
-    return {
-        "h": h,
-        "modular": rows[-1]["modular_prefix"],
-        "modular_bound": rows[-1]["modular_cap"],
-        "first_moment": float(psi(plan.xi, h)[0]),
-        "lower_bound": rows[-1]["running_lower_bound"],
-        "sign": plan.sign,
-        "rows": rows,
-    }
+    return {"h": h, "modular": mod, "modular_bound": cap,
+            "first_moment": float(psi(plan.xi, h)[0]), "lower_bound": lower,
+            "sign": plan.sign, "rows": rows}
 
 
 def continuity_probe(xi, phi, h, K):
     """Annular truncations h_k of h and their distance to h.
 
-    Truncation k keeps the part of h with radius in [2**-(k+1), k+2);
-    the table reports the norm of the discarded tail and the moment gap
-    |psi(h_k) - psi(h)|, both nonincreasing and eventually 0 for
+    Truncation k keeps the part of h with radius in [2**-(k+1), k+2),
+    so the discarded tail is the cells of h off that annulus, from the
+    cell engine.  The table reports the norm of the tail and the moment
+    gap |psi(h_k) - psi(h)|, both nonincreasing and eventually 0 for
     boundedly supported h.  The moment gap is exactly 0 throughout
     because radially symmetric regions have zero moment.
     """
@@ -447,22 +430,16 @@ def continuity_probe(xi, phi, h, K):
     if values and min(values) < 0.0 < max(values):
         raise DomainError("probe is defined for one-signed functions; "
                           "split into positive and negative parts first")
-    intervals = [(v, radial_interval(p)) for v, region in h.terms for p in region.parts]
-    if any(iv is None for _, iv in intervals):
-        raise DomainError(
-            "continuity probing needs radially supported functions "
-            "(origin balls and annuli)")
+    parts = [(v, p) for v, region in h.terms for p in region.parts]
     rows = []
     for k in range(K + 1):
-        lo_cut = 2.0 ** -(k + 1)
-        hi_cut = float(k + 2)
-        tail_terms = []
-        for v, (a, b) in intervals:
-            if a < lo_cut:
-                tail_terms.append((v, radial_part(h.dim, a, min(b, lo_cut))))
-            if b > hi_cut:
-                tail_terms.append((v, radial_part(h.dim, max(a, hi_cut), b)))
-        tail = SimpleFunction(h.dim, [(v, Region([p])) for v, p in tail_terms])
+        kept = [(1.0, radial_part(h.dim, 2.0 ** -(k + 1), k + 2))]
+        cells = refinement_cells(parts, kept, h.dim, lambda a, b: (a != 0.0) & (b == 0.0))
+        if cells is None:  # a part outside the radial algebra
+            raise DomainError(
+                "continuity probing needs radially supported functions "
+                "(origin balls and annuli)")
+        tail = SimpleFunction(h.dim, [(a, Region([p])) for p, a, _ in cells])
         norm_tail = orlicz_norm(phi, tail)
         psi_gap = float(np.max(np.abs(psi(xi, tail)))) if tail.terms else 0.0
         rows.append({"k": k, "norm_tail": norm_tail, "psi_gap": psi_gap})

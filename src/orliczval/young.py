@@ -161,9 +161,24 @@ class YoungFunction:
         return {"family": self._family, "params": asdict(self)}
 
 
+def _scaled_power(arr, scale, q, divisor=1.0):
+    """``scale * arr**q / divisor``, with each finite entry that overflows
+    recomputed as ``(arr * (scale / divisor)**(1/q))**q``, which is finite
+    wherever the value is."""
+    try:
+        with np.errstate(over="raise"):  # free until an entry overflows
+            return scale * arr ** q / divisor
+    except FloatingPointError:
+        with np.errstate(over="ignore", invalid="ignore"):  # np.where drops 0 * inf
+            out = scale * arr ** q / divisor
+            fixed = (arr * np.float64(scale / divisor) ** (1.0 / q)) ** q
+            return np.where(np.isinf(out) & (arr < math.inf), fixed, out)
+
+
 @dataclass
 class PowerYoung(YoungFunction):
-    """``phi(t) = scale * t**p / p`` for ``p > 1``, ``scale > 0``."""
+    """``phi(t) = scale * t**p / p`` for ``p > 1``, ``scale > 0``; ``eval`` and
+    ``density`` stay finite where ``t**p`` alone overflows (``_scaled_power``)."""
 
     _family = "power"
     p: float
@@ -177,14 +192,10 @@ class PowerYoung(YoungFunction):
             raise DomainError(f"scale must be positive and finite, got {self.scale!r}")
 
     def eval(self, t):
-        arr = _as_nonnegative(t)
-        with np.errstate(over="ignore"):
-            return _scalar_like(t, self.scale * arr ** self.p / self.p)
+        return _scalar_like(t, _scaled_power(_as_nonnegative(t), self.scale, self.p, self.p))
 
     def density(self, s):
-        arr = _as_nonnegative(s)
-        with np.errstate(over="ignore"):
-            return _scalar_like(s, self.scale * arr ** (self.p - 1.0))
+        return _scalar_like(s, _scaled_power(_as_nonnegative(s), self.scale, self.p - 1.0))
 
     def conjugate(self):
         q = self.p / (self.p - 1.0)

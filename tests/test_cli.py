@@ -15,7 +15,7 @@ import orliczval
 from orliczval import regions
 from orliczval.cli import _OPTIONS, _VERIFY_FLAGS, _dump_csv, _dump_json, _parse_phi, main
 from orliczval.functions import SimpleFunction
-from orliczval.polytopes import Polytope
+from orliczval.polytopes import Polytope, continuity_constraint_system
 from orliczval.regions import Annulus, OriginBall, Region, ShiftedBall
 from orliczval.suites import (
     SUITES,
@@ -31,7 +31,6 @@ from orliczval.valuations import (
     OddComposer,
     PolynomialComposer,
     SigmoidComposer,
-    _ball_ledger,
     build_divergence_plan,
     composer_from_json,
     divergent_truncation,
@@ -101,26 +100,53 @@ def test_suite_divergence_prefixes():
 def test_divergence_suite_reads_the_truncation_table(monkeypatch):
     phi = PowerYoung(2.0)
     xi = PolynomialComposer([0.0, 0.0, 0.0, 1.0])
-    # the suite's name of each renamed ledger column
-    ledger_name = {"moment_prefix": "running_moment",
-                   "lower_bound_prefix": "running_lower_bound"}
+    # the suite's name of each renamed table column
+    table_name = {"moment_prefix": "running_moment",
+                  "lower_bound_prefix": "running_lower_bound"}
     for J in (1, 12):
         plan = build_divergence_plan(xi, phi, J)
-        _, ledger = _ball_ledger(plan, J, 1e-8)
-        rows = suite_divergence(terms=J)["rows"]
-        assert len(rows) == len(ledger) == J
-        for row, line in zip(rows, ledger):
-            assert row == {name: line[ledger_name.get(name, name)] for name in row}
         measured = []
         measure = regions.part_weighted_measure
         monkeypatch.setattr(regions, "part_weighted_measure",
                             lambda *args: measured.append(args) or measure(*args))
         result = divergent_truncation(plan, J)
         monkeypatch.undo()
-        # the modular reads the ledger's measures: one measurement per ball
+        rows = suite_divergence(terms=J)["rows"]
+        assert len(rows) == len(result["rows"]) == J
+        for row, line in zip(rows, result["rows"]):
+            assert row == {name: line[table_name.get(name, name)] for name in row}
+        # the modular reads the table's measures: one measurement per ball
         assert len(measured) == J
         assert math.isclose(result["rows"][-1]["modular_prefix"],
                             result["modular"], rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_both_ball_tables_measure_each_ball_to_its_share_of_the_modular(monkeypatch, dim):
+    # suite_divergence and divergent_truncation (the counterexample command)
+    # ask ball j for 1e-8 / (J phi(|beta_j|)), so the modular is within 1e-8
+    J = 10
+    phi = PowerYoung(2.0)
+    xi = PolynomialComposer([0.0, 0.0, 0.0, 1.0])
+    asked = []
+    measure = Region.weighted_measure
+
+    def spy(region, abs_tol=1e-9):
+        got = measure(region, abs_tol)
+        asked.append((abs_tol, got.error_bound))
+        return got
+
+    monkeypatch.setattr(Region, "weighted_measure", spy)
+    runs = [lambda: divergent_truncation(build_divergence_plan(xi, phi, J, dim=dim), J)]
+    if dim == 2:
+        runs.append(lambda: suite_divergence(terms=J))
+    plan = build_divergence_plan(xi, phi, J, dim=dim)
+    gauges = [phi.eval(abs(b)) for b in plan.betas]
+    for run in runs:
+        asked.clear()
+        run()
+        assert [tol for tol, _ in asked] == [1e-8 / (J * g) for g in gauges]
+        assert sum(g * err for g, (_, err) in zip(gauges, asked)) <= 1e-8
 
 
 def test_suite_continuity_clauses():
@@ -300,6 +326,47 @@ def test_cli_verify_continuity_red(capsys):
         "below_1e-3_at_final_depth"]
 
 
+def _with_rows(change):
+    # divergent_truncation with change(rows) applied to its row table
+    def truncation(plan, J):
+        result = divergent_truncation(plan, J)
+        change(result["rows"])
+        return result
+    return truncation
+
+
+@pytest.mark.parametrize("name, attr, fake, flag", [
+    ("lemma15", "check_cphi",
+     lambda xi, phi: {"certified_on_grid": False, "diverges_large_end": False},
+     "growth_diverges_large_end"),
+    ("lemma15", "divergent_truncation",
+     _with_rows(lambda rows: rows[0].update(modular_prefix=2.0)), "every_prefix_within_cap"),
+    ("lemma15", "divergent_truncation",
+     _with_rows(lambda rows: rows[-1].update(running_moment=0.0)), "moment_exceeds_lower_bound"),
+    ("lemma8", "continuity_constraint_system",
+     lambda: {**continuity_constraint_system(), "affine_residual": 1.0}, "affine_residual_ok"),
+])
+def test_cli_verify_names_each_failed_condition(capsys, monkeypatch, name, attr, fake, flag):
+    # one pass condition false at a time: first_failure names its summary flag
+    import orliczval.suites as suites
+    monkeypatch.setattr(suites, attr, fake)
+    argv = ("verify", name) + (("--J", "6") if name == "lemma15" else ())
+    rc, out, _ = run_cli(capsys, *argv)
+    doc = json.loads(out)
+    assert (rc, doc["ok"], doc["summary"][flag]) == (1, False, False)
+    assert doc["first_failure"]["failed_checks"] == [flag]
+
+
+def test_cli_norm_of_an_underflowing_ball_exits_with_a_message(capsys):
+    # 1/mu overflows; the solve used to return phi's overflow edge, 2,300x too large
+    rc, out, err = run_cli(capsys, "norm", "--phi", "power:2", "--indicator", "ball:1e-105",
+                           "--dim", "2")
+    assert (rc, out) == (2, "")
+    assert "not finite" in err
+    rc, out, _ = run_cli(capsys, "young", "eval", "--phi", "power:2", "--t", "1.4e154")
+    assert rc == 0 and json.loads(out)["value"] == 9.800000000000001e+307
+
+
 def test_cli_verify_continuity_rejects_depth_out_of_range(capsys, monkeypatch):
     import orliczval.suites as suites
 
@@ -461,6 +528,11 @@ def test_one_name_per_operation(capsys):
     assert not hasattr(orliczval.valuations, "identity_composer")
     assert not hasattr(regions, "part_to_json") and not hasattr(Polytope, "from_json")
     assert not hasattr(regions.WeightedMeasure, "__float__")
+    # planar_valuation takes its six coefficients as spatial_valuation takes its two
+    assert "PlanarCoefficients" not in orliczval.__all__
+    assert not hasattr(orliczval.polytopes, "PlanarCoefficients")
+    assert not hasattr(orliczval.valuations, "_ball_ledger")
+    assert not hasattr(orliczval.valuations, "_TRUNCATION_TOL")
     # the gauge is named by --phi, as in every other subcommand
     for argv in (("young", "eval", "--family", "power", "--p", "2", "--t", "0"),
                  ("young", "eval", "--phi", "power:2", "--rate", "2", "--t", "0")):

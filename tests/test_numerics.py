@@ -156,6 +156,13 @@ def test_lower_end_past_the_target_raises():
         solve_monotone(lambda t: t + 1.0, 0.5)
 
 
+def test_a_target_that_is_not_finite_raises():
+    # an infinite target would return the edge where f overflows
+    for target in (math.inf, -math.inf, math.nan):
+        with pytest.raises(BracketError, match="not finite"):
+            solve_monotone(lambda t: t * t, target)
+
+
 def test_nan_raises_bracket_error_in_every_phase():
     with pytest.raises(BracketError, match="NaN"):
         solve_monotone(lambda t: np.full_like(t, math.nan), 1.0)

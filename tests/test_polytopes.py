@@ -14,7 +14,6 @@ from orliczval.regions import (
     part_weighted_measure,
 )
 from orliczval.polytopes import (
-    PlanarCoefficients,
     Polytope,
     cone_hull,
     continuity_constraint_system,
@@ -689,9 +688,8 @@ def test_edge_operators_on_quarter_scaled_family():
 
 def test_planar_valuation_on_degenerating_segment():
     eps = 0.25
-    coeffs = PlanarCoefficients(c1=1.0, c1t=2.0, c2=3.0, c2t=5.0, c3=7.0, c3t=11.0)
     q = Polytope([[1.0, 0.0], [0.0, eps]])
-    got = planar_valuation(q, coeffs)
+    got = planar_valuation(q, c1=1.0, c1t=2.0, c2=3.0, c2t=5.0, c3=7.0, c3t=11.0)
     cone_m = np.array([eps / 6.0, eps * eps / 6.0])
     want = (2.0 * cone_m
             + (3.0 + 5.0) * np.array([1.0, eps])
@@ -702,16 +700,16 @@ def test_planar_valuation_on_degenerating_segment():
 def test_planar_valuation_drops_chain_terms_when_chain_is_flat():
     eps = 0.5
     q = Polytope([[eps, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    a = planar_valuation(q, PlanarCoefficients(c1=1.0, c3=2.0))
-    b = planar_valuation(q, PlanarCoefficients(c1=1.0, c3=2.0, c2t=9.0, c3t=-4.0))
+    a = planar_valuation(q, c1=1.0, c3=2.0)
+    b = planar_valuation(q, c1=1.0, c3=2.0, c2t=9.0, c3t=-4.0)
     assert np.allclose(a, b, atol=1e-15)
-    c = planar_valuation(q, PlanarCoefficients(c1=1.0, c3=3.0))
+    c = planar_valuation(q, c1=1.0, c3=3.0)
     assert not np.allclose(a, c)
 
 
 def test_planar_valuation_is_sl2_covariant():
     rng = np.random.default_rng(61)
-    coeffs = PlanarCoefficients(c1=0.5, c1t=-1.25, c2=2.0, c2t=0.75, c3=-0.5, c3t=1.5)
+    coeffs = dict(c1=0.5, c1t=-1.25, c2=2.0, c2t=0.75, c3=-0.5, c3t=1.5)
     done = 0
     while done < 20:
         v = _random_polygon(rng, np.array([0.2, 0.2]), np.array([1.4, 1.4]))
@@ -719,8 +717,8 @@ def test_planar_valuation_is_sl2_covariant():
             continue
         q = Polytope(v)
         theta = random_unimodular(2, rng)
-        lhs = planar_valuation(q.transform(theta), coeffs)
-        rhs = theta @ planar_valuation(q, coeffs)
+        lhs = planar_valuation(q.transform(theta), **coeffs)
+        rhs = theta @ planar_valuation(q, **coeffs)
         assert np.allclose(lhs, rhs, atol=1e-9)
         done += 1
 
@@ -733,11 +731,11 @@ def test_planar_valuation_builds_its_cone_once(monkeypatch):
         return cone_hull(poly)
 
     monkeypatch.setattr(polytopes, "cone_hull", counted)
-    coeffs = PlanarCoefficients(c1=0.5, c1t=-1.25, c2=2.0, c2t=0.75, c3=-0.5, c3t=1.5)
+    coeffs = dict(c1=0.5, c1t=-1.25, c2=2.0, c2t=0.75, c3=-0.5, c3t=1.5)
     shapes = ([[1.0, 0.0], [0.0, 0.25]], [[0.5, 0.0], [0.0, 1.0], [-1.0, 0.0]],
               [[0.2, 0.1], [1.0, 0.3], [0.6, 1.1], [0.1, 0.8]])
     for k, v in enumerate(shapes, 1):
-        planar_valuation(Polytope(v), coeffs)
+        planar_valuation(Polytope(v), **coeffs)
         assert len(calls) == k
 
 

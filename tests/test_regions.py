@@ -742,8 +742,7 @@ def test_planar_paths_and_3d_boxes_load_no_scipy():
 import sys
 from orliczval.functions import SimpleFunction
 from orliczval.norms import luxemburg_norm, orlicz_norm
-from orliczval.polytopes import (PlanarCoefficients, Polytope, continuity_constraint_system,
-                                 planar_valuation)
+from orliczval.polytopes import Polytope, continuity_constraint_system, planar_valuation
 from orliczval.regions import AxisBox, Region, cube_cover
 from orliczval.valuations import PolynomialComposer, psi
 from orliczval.young import PowerYoung
@@ -757,7 +756,7 @@ orlicz_norm(PowerYoung(2.0), h)
 psi(PolynomialComposer([1.0, 0.5]), h)
 Region([AxisBox([1.0, 0.5, 0.25], [2.0, 1.0, 1.0])]).weighted_measure()
 assert continuity_constraint_system()["unique_zero_solution"]
-planar_valuation(tri, PlanarCoefficients(1.0, 0.5, 0.25, 0.125, 2.0, -1.0))
+planar_valuation(tri, 1.0, 0.5, 0.25, 0.125, 2.0, -1.0)
 print(len(cover), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

@@ -37,7 +37,8 @@ from orliczval.valuations import (
     find_divergence_witnesses,
     psi,
 )
-from orliczval.young import PowerYoung
+from orliczval.norms import orlicz_norm
+from orliczval.young import ExpYoung, PowerYoung
 
 
 def _mc_psi(xi, f, lo, hi, samples=200_000, seed=11):
@@ -115,6 +116,25 @@ def test_tabulated_composer_matches_interp_with_linear_edges():
                         np.where(t > ts[-1], vs[-1] + hi * (t - ts[-1]), np.interp(t, ts, vs)))
         np.testing.assert_array_max_ulp(xi(t), want, maxulp=4)
         assert np.array_equal(xi(ts), vs)  # every sample, the last included
+
+
+def test_tabulated_composer_at_infinity():
+    # a flat edge keeps its sample value and a sloped one goes to +-inf,
+    # with no warning (the suite turns RuntimeWarnings into errors)
+    flat = TabulatedComposer([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    assert flat(math.inf) == flat(-math.inf) == 0.0
+    lifted = TabulatedComposer([[-2.0, -1.0], [-1.0, 0.5], [0.0, 0.0], [1.0, 3.0], [2.0, 3.0]])
+    assert lifted(np.array([-math.inf, math.inf])).tolist() == [-math.inf, 3.0]
+    down = TabulatedComposer([[-1.0, 2.0], [0.0, 0.0], [1.0, 0.0]])
+    assert down(np.array([-math.inf, math.inf])).tolist() == [math.inf, 0.0]
+    assert math.isnan(down(math.nan))
+    # finite arguments keep v_i + slope_i (t - t_i) bit for bit
+    t = np.concatenate((np.linspace(-5.0, 5.0, 41), [-1e300, 1e300]))
+    ts, vs = lifted.samples[:, 0], lifted.samples[:, 1]
+    slope = np.diff(vs) / np.diff(ts)
+    slope = np.append(slope, slope[-1])
+    i = np.maximum(np.searchsorted(ts, t, side="right") - 1, 0)
+    assert np.array_equal(lifted(t), vs[i] + slope[i] * (t - ts[i]))
 
 
 def test_tabulated_composer_validation():
@@ -451,8 +471,70 @@ def test_continuity_probe_rejections():
     phi = PowerYoung(2.0)
     xi = PolynomialComposer([1.0])
     mixed = SimpleFunction(2, [(1.0, _ball(1.0)), (-1.0, _ring(1.0, 2.0))])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^probe is defined for one-signed functions; "
+                       "split into positive and negative parts first$"):
         continuity_probe(xi, phi, mixed, 2)
-    polygonal = SimpleFunction(2, [(1.0, _tri())])
-    with pytest.raises(DomainError):
-        continuity_probe(xi, phi, polygonal, 2)
+    radial_only = ("^continuity probing needs radially supported functions "
+                   r"\(origin balls and annuli\)$")
+    for K in (0, 2):
+        polygonal = SimpleFunction(2, [(1.0, _tri())])
+        with pytest.raises(DomainError, match=radial_only):
+            continuity_probe(xi, phi, polygonal, K)
+        partly = SimpleFunction(2, [(1.0, _ring(1.0, 2.0)),
+                                    (2.0, Region([AxisBox([3.0, 3.0], [4.0, 4.0])]))])
+        with pytest.raises(DomainError, match=radial_only):
+            continuity_probe(xi, phi, partly, K)
+
+
+def _hand_clipped_probe(xi, phi, h, K):
+    # the probe as a hand-clipped formula: truncation k drops [a, min(b, lo))
+    # and [max(a, hi), b) of each radial part [a, b), lo = 2**-(k+1), hi = k + 2
+    intervals = [(v, (0.0, p.radius) if isinstance(p, OriginBall) else (p.inner, p.outer))
+                 for v, region in h.terms for p in region.parts]
+    rows = []
+    for k in range(K + 1):
+        lo_cut, hi_cut = 2.0 ** -(k + 1), float(k + 2)
+        pieces = []
+        for v, (a, b) in intervals:
+            if a < lo_cut:
+                pieces.append((v, a, min(b, lo_cut)))
+            if b > hi_cut:
+                pieces.append((v, max(a, hi_cut), b))
+        tail = SimpleFunction(h.dim, [
+            (v, Region([OriginBall(h.dim, b) if a == 0.0 else Annulus(h.dim, a, b)]))
+            for v, a, b in pieces])
+        norm_tail = orlicz_norm(phi, tail)
+        psi_gap = float(np.max(np.abs(psi(xi, tail)))) if tail.terms else 0.0
+        rows.append({"k": k, "norm_tail": norm_tail, "psi_gap": psi_gap})
+    return rows
+
+
+def test_continuity_probe_matches_the_hand_clipped_tails():
+    # several terms, terms split over several radial parts, origin balls,
+    # both signs, cuts landing on the truncation radii and none at all
+    rng = np.random.default_rng(2024)
+    xi = PolynomialComposer([1.0, 0.5])
+    phis = (PowerYoung(2.0), PowerYoung(3.0, 0.5), ExpYoung(1.0, 0.5))
+    rows_seen = 0
+    for case in range(40):
+        dim = 2 + case % 2
+        cuts = rng.uniform(0.01, 9.0, size=2 * rng.integers(1, 6))
+        if case % 3 == 0:
+            cuts[0] = 0.0  # an origin ball
+        if case % 5 == 1:
+            cuts[-1] = 0.25  # a cut on a truncation radius
+        cuts = np.sort(cuts)
+        parts = [OriginBall(dim, b) if a == 0.0 else Annulus(dim, a, b)
+                 for a, b in cuts.reshape(-1, 2).tolist()]
+        sign = -1.0 if case % 4 == 3 else 1.0
+        terms, start = [], 0
+        while start < len(parts):  # consecutive parts share a term's region
+            stop = start + int(rng.integers(1, 3))
+            terms.append((sign * rng.uniform(0.2, 3.0), Region(parts[start:stop])))
+            start = stop
+        h = SimpleFunction(dim, terms)
+        phi = phis[case % len(phis)]
+        K = int(rng.integers(0, 8))
+        assert continuity_probe(xi, phi, h, K) == _hand_clipped_probe(xi, phi, h, K)
+        rows_seen += K + 1
+    assert rows_seen > 100

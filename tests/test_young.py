@@ -327,6 +327,27 @@ def test_power_overflow_is_inf_without_a_warning():
     assert PowerYoung(1e308).density(2.0) == math.inf
 
 
+def test_power_gauge_is_finite_wherever_its_value_is():
+    # t**p overflowing before the scaling must not make phi infinite
+    assert PowerYoung(2.0).eval(1.4e154) == pytest.approx(9.8e307, rel=1e-15)
+    assert PowerYoung(3.0, 1e-20).density(1e160) == pytest.approx(1e300, rel=1e-15)
+    both = PowerYoung(2.0).eval(np.array([2.0, 1.4e154, 2e154, math.inf]))
+    assert both[0] == 2.0 and both[1] == pytest.approx(9.8e307, rel=1e-15)
+    assert both[2:].tolist() == [math.inf, math.inf]
+    assert math.isclose(PowerYoung(2.0).inverse(1e308), math.sqrt(2.0) * 1e154, rel_tol=1e-11)
+    assert math.isclose(PowerYoung(3.0).inverse(1e308), 3.0 ** (1 / 3) * 1e308 ** (1 / 3),
+                        rel_tol=1e-11)
+    # below the overflow threshold every entry is scale * t**p / p bit for bit
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        p, scale = 1.0 + rng.uniform(0.01, 6.0), 10.0 ** rng.uniform(-5.0, 5.0)
+        phi = PowerYoung(p, scale)
+        t = 10.0 ** rng.uniform(-300.0, 300.0 / p - 6.0, 50)
+        assert np.array_equal(phi.eval(t), scale * t ** p / p)
+        assert np.array_equal(phi.density(t), scale * t ** (p - 1.0))
+        assert phi.eval(float(t[0])) == float(scale * np.asarray(t[0]) ** p / p)
+
+
 def test_conjugate_rate_underflow_is_a_domain_error():
     for phi in (ExpYoung(1e-300, 1e-300), LogYoung(1e-300, 1e-300)):
         with pytest.raises(DomainError):
