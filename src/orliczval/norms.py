@@ -8,14 +8,17 @@ built on it, and both are monotone root problems for
 ``modular(u*h) = 1``, and the averaged norm ``(1 + modular(k*h)) / k``
 at the ``k`` where, by Young's equality, the conjugate modular
 ``sum mu_i phi*(phi'(k v_i))`` reaches one.  They are equivalent within
-a factor of two.
+a factor of two.  For one atom, in every family, and for a power gauge
+over any atoms, both roots have a closed form; it is kept once one call
+of the function at ``root (1 -+ rel_tol/2)`` brackets the target
+(:func:`~orliczval.numerics._certifies`), and solved for otherwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CapabilityError, DomainError
 from .functions import GridFunction, SimpleFunction
 from .numerics import _certifies, solve_monotone
 from .regions import Region
@@ -101,17 +104,22 @@ def _luxemburg(phi, vals, mus, rel_tol=1e-10):
         return 0.0
     if len(vals) == 1 and mus[0] > 0.0:
         return float(vals[0]) / phi.inverse(1.0 / float(mus[0]), rel_tol)
-    u, top = np.nan, float(vals[-1])
-    if isinstance(phi, PowerYoung):  # modular(u h) = m (u top)^p
-        m = phi.scale / phi.p * float(np.dot((vals / top) ** phi.p, mus))
-        u = 1.0 / (top * m ** (1.0 / phi.p)) if m > 0.0 else np.nan
+    u = _power_root(phi, vals, mus, 1.0) if isinstance(phi, PowerYoung) else np.nan
 
     def modular_at(u):
         return _weighted_sum(phi.eval, u, vals, mus)
 
     if not _certifies(modular_at, 1.0, u, rel_tol):
-        u = solve_monotone(modular_at, 1.0, lo=0.0, hi=1.0 / top, rel_tol=rel_tol)
+        u = solve_monotone(modular_at, 1.0, lo=0.0, hi=1.0 / float(vals[-1]), rel_tol=rel_tol)
     return 1.0 / u
+
+
+def _power_root(phi, vals, mus, c):
+    """The ``u`` with ``c * modular(u h) = 1`` under a power gauge, where
+    ``modular(u h) = m (u max|h|)^p``; NaN unless it is a positive float."""
+    m = c * phi.scale / phi.p * float(np.dot((vals / vals[-1]) ** phi.p, mus))
+    d = float(vals[-1]) * m ** (1.0 / phi.p)
+    return 1.0 / d if d > 0.0 else np.nan
 
 
 def orlicz_norm(phi, h, rel_tol=1e-12, abs_tol=1e-9):
@@ -119,11 +127,14 @@ def orlicz_norm(phi, h, rel_tol=1e-12, abs_tol=1e-9):
 
     The derivative of the objective vanishes where
     ``sum mu_i phi*(phi'(k v_i)) = 1``, and by Young's equality
-    ``phi*(phi'(t)) = t phi'(t) - phi(t)``, so no conjugate is needed.
-    The left side is nondecreasing in ``k``, zero at ``k = 0`` and
-    unbounded because ``phi'`` is, so one monotone root solve from
-    ``k = 0`` finds the minimiser.  Where ``phi'`` is flat the root is
-    not unique, but every root gives the same minimum.
+    ``phi*(phi'(t)) = t phi'(t) - phi(t)``.  The left side is nondecreasing
+    in ``k``, zero at ``k = 0`` and unbounded because ``phi'`` is.  Its root
+    is ``phi*'(phi*^{-1}(1/mu)) / v`` for one atom ``v`` of measure ``mu``,
+    as ``(phi')^{-1} = phi*'``, and ``((p - 1) M)^(-1/p)`` for a power gauge
+    and the modular ``M`` of ``h``: each is kept once one call of the left
+    side certifies it.  Otherwise one monotone root solve from ``k = 0``
+    finds the minimiser.  Where ``phi'`` is flat the root is not unique,
+    but every root gives the same minimum.
     """
     return _orlicz(phi, *_atoms(h, abs_tol), rel_tol)
 
@@ -131,13 +142,44 @@ def orlicz_norm(phi, h, rel_tol=1e-12, abs_tol=1e-9):
 def _orlicz(phi, vals, mus, rel_tol=1e-12):
     if len(vals) == 0:
         return 0.0
-
-    def conjugate_modular(k):
-        return _weighted_sum(lambda t: t * phi.density(t) - phi.eval(t), k, vals, mus)
-
-    k = solve_monotone(conjugate_modular, 1.0, lo=0.0,
-                       hi=1.0 / float(np.max(vals)), rel_tol=rel_tol)
+    conjugate_modular = _conjugate_modular(phi, vals, mus)
+    k = _minimiser_seed(phi, vals, mus, rel_tol)
+    if not _certifies(conjugate_modular, 1.0, k, rel_tol):
+        k = solve_monotone(conjugate_modular, 1.0, lo=0.0,
+                           hi=1.0 / float(vals[-1]), rel_tol=rel_tol)
     return (1.0 + float(_weighted_sum(phi.eval, k, vals, mus))) / k
+
+
+def _conjugate_modular(phi, vals, mus):
+    """``k -> sum mu_i phi*(phi'(k v_i))``, the averaged norm's root problem.
+
+    An entry whose product ``t phi'(t)`` alone overflows, with ``phi'`` and
+    ``phi`` finite, is taken as ``t (phi'(t) - phi(t)/t)``; that form is not
+    used throughout, as it gives ``inf - inf`` where ``phi`` overflows first.
+    """
+    def gap(t):
+        d, y = phi.density(t), phi.eval(t)
+        out = t * d - y
+        if np.isinf(out).any():
+            out = np.where(np.isinf(out) & np.isfinite(d) & np.isfinite(y), t * (d - y / t), out)
+        return out
+
+    return lambda k: _weighted_sum(gap, k, vals, mus)
+
+
+def _minimiser_seed(phi, vals, mus, rel_tol):
+    """The averaged norm's minimiser in closed form (see :func:`orlicz_norm`),
+    or NaN."""
+    if isinstance(phi, PowerYoung):  # the conjugate modular is (p - 1) modular
+        return _power_root(phi, vals, mus, phi.p - 1.0)
+    y = 1.0 / float(mus[0]) if len(vals) == 1 and mus[0] > 0.0 else np.inf
+    if y == np.inf:  # several atoms, or 1/mu overflows
+        return np.nan
+    try:
+        star = phi.conjugate()
+    except (CapabilityError, DomainError):  # a flat density; scale * rate out of range
+        return np.nan
+    return float(star.density(star.inverse(y, rel_tol))) / float(vals[0])
 
 
 def indicator_norm(phi, region, abs_tol=1e-9, rel_tol=1e-12):

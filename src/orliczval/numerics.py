@@ -1,5 +1,5 @@
-"""Root finding: :func:`solve_monotone`, for the averaged norm and wherever
-:func:`_certifies` rejects a gauge norm's or inverse's closed-form seed.
+"""Root finding: :func:`solve_monotone`, for the norms with no closed form
+and wherever :func:`_certifies` rejects a norm's or inverse's closed-form seed.
 
 ``f`` is called on one vector of points per step (k-section, Miranker,
 IBM J. Res. Dev. 13, 1969).  The first call samples ``hi`` times

@@ -314,6 +314,7 @@ class DensityYoung(YoungFunction):
         self._cum = np.concatenate(([0.0], np.cumsum(0.5 * (d[:-1] + d[1:]) * np.diff(s))))
         self._slope = np.append(slope, tail_slope)
         self._s, self._d = s, d
+        self._conjugate = None  # built on the first call of conjugate()
 
     def _segment(self, t):
         """The segment index ``i`` of each ``t >= 0`` and its offset ``t - s_i``."""
@@ -338,7 +339,10 @@ class DensityYoung(YoungFunction):
         linear interpolant through the swapped samples ``(d_i, s_i)``.
         A flat segment puts a jump into the inverse: the exact conjugate
         exists, but no sample table can carry it, hence ``CapabilityError``.
+        The conjugate is built once, and its own conjugate is ``self``.
         """
+        if self._conjugate is not None:
+            return self._conjugate
         if np.any(np.diff(self._d) <= 0.0):
             i = int(np.argmin(np.diff(self._d)))
             raise CapabilityError(
@@ -347,8 +351,9 @@ class DensityYoung(YoungFunction):
                 f"(value {float(self._d[i])!r}); refine the samples so the "
                 "density increases strictly"
             )
-        swapped = np.column_stack((self._d, self._s))
-        return DensityYoung(swapped, tail_slope=1.0 / self.tail_slope)
+        conj = DensityYoung(np.column_stack((self._d, self._s)), tail_slope=1.0 / self.tail_slope)
+        conj._conjugate, self._conjugate = self, conj
+        return conj
 
     def _seed(self, y):
         # on the segment (or the tail) where phi reaches y, the stable root

@@ -8,6 +8,7 @@ Monte Carlo integration of phi(|h|)*|x|, and scipy's bounded Brent
 minimiser of (1 + modular(k*h)) / k for the averaged norm.
 """
 
+import json
 import math
 import tracemalloc
 
@@ -562,20 +563,23 @@ def _gauge_root(phi, h, rel_tol):
     return 1.0 / u
 
 
+# one gauge of each family, then their conjugates
+_FAMILIES = (PowerYoung(2.5, 0.7), ExpYoung(1.3, 0.7), LogYoung(0.8, 1.6),
+             DensityYoung([(0.0, 0.0), (0.5, 0.3), (1.0, 1.0), (2.0, 3.0)], 2.0))
+_FAMILIES += tuple(phi.conjugate() for phi in _FAMILIES)
+
+
 @pytest.mark.parametrize("rel_tol", [1e-10, 1e-13])
 def test_closed_form_gauge_norms_agree_with_the_root_solve(rel_tol):
     # one atom takes v / phi^{-1}(1/mu) in every family, several atoms of a
     # power gauge M^(1/p); both are certified closed forms, not root solves
-    density = DensityYoung([(0.0, 0.0), (0.5, 0.3), (1.0, 1.0), (2.0, 3.0)], 2.0)
-    families = (PowerYoung(2.5, 0.7), ExpYoung(1.3, 0.7), LogYoung(0.8, 1.6), density)
-    families += tuple(phi.conjugate() for phi in families)
     rng = np.random.default_rng(17)
     for case in range(12):
         one = _shells([10.0 ** rng.uniform(-3.0, 3.0)], [10.0 ** rng.uniform(-4.0, 3.0)])
         n = int(rng.integers(2, 6))
         several = _shells(10.0 ** rng.uniform(-3.0, 3.0, n), 10.0 ** rng.uniform(-4.0, 3.0, n))
         power = PowerYoung(rng.uniform(1.05, 6.0), rng.uniform(0.3, 3.0))
-        for phi, h in [(phi, one) for phi in families] + [(power, several)]:
+        for phi, h in [(phi, one) for phi in _FAMILIES] + [(power, several)]:
             got = luxemburg_norm(phi, h, rel_tol=rel_tol)
             assert math.isclose(got, _gauge_root(phi, h, rel_tol), rel_tol=rel_tol), (case, phi)
             assert abs(norm_report(phi, h)["modular_at_luxemburg"] - 1.0) <= 1e-9, (case, phi)
@@ -589,3 +593,101 @@ def test_a_power_norm_whose_closed_form_fails_its_certificate_is_solved(monkeypa
     monkeypatch.setattr(norms, "_certifies", lambda *a, **k: False)
     assert luxemburg_norm(phi, h) == _gauge_root(phi, h, 1e-10)
     assert math.isclose(luxemburg_norm(phi, h), want, rel_tol=1e-10)
+
+
+def _averaged_root(phi, vals, mus, rel_tol=1e-12):
+    """The averaged norm's minimiser by the root solve of Young's equality,
+    posed directly, and the norm at it."""
+    k = solve_monotone(norms._conjugate_modular(phi, vals, mus), 1.0,
+                       lo=0.0, hi=1.0 / float(vals.max()), rel_tol=rel_tol)
+    return k, (1.0 + float(_weighted_sum(phi.eval, k, vals, mus))) / k
+
+
+@pytest.mark.parametrize("phi", _FAMILIES, ids=lambda phi: type(phi).__name__)
+def test_one_atom_averaged_norm_seeds_are_certified_minimisers(phi):
+    # k = phi*'(phi*^{-1}(1/mu)) / v (the power family's own closed form
+    # for a power gauge): its certificate brackets the root of Young's
+    # equality, and the norm at it agrees with the root solve
+    rel_tol = 1e-12
+    for mu in 10.0 ** np.arange(-10.0, 7.0, 2.0):
+        for v in 10.0 ** np.arange(-4.0, 5.0, 2.0):
+            vals, mus = np.array([v]), np.array([mu])
+            f = norms._conjugate_modular(phi, vals, mus)
+            k = norms._minimiser_seed(phi, vals, mus, rel_tol)
+            below, above = f(k * np.array([1.0 - 0.5 * rel_tol, 1.0 + 0.5 * rel_tol]))
+            assert below < 1.0 <= above, (mu, v)
+            k_root, want = _averaged_root(phi, vals, mus)
+            assert abs(k - k_root) <= 1.5 * rel_tol * k_root, (mu, v)
+            assert math.isclose(norms._orlicz(phi, vals, mus), want, rel_tol=1e-12), (mu, v)
+
+
+def test_power_averaged_norm_closed_form_over_several_atoms():
+    # the conjugate modular is (p - 1) M k^p: k = ((p - 1) M)^(-1/p)
+    rng = np.random.default_rng(41)
+    for case in range(40):
+        n = int(rng.integers(2, 8))
+        vals = np.sort(10.0 ** rng.uniform(-3.0, 3.0, n))
+        mus = 10.0 ** rng.uniform(-4.0, 3.0, n)
+        phi = PowerYoung(rng.uniform(1.05, 6.0), rng.uniform(0.3, 3.0))
+        big_m = phi.scale / phi.p * float(np.sum(mus * vals ** phi.p))
+        k = norms._minimiser_seed(phi, vals, mus, 1e-12)
+        assert math.isclose(k, ((phi.p - 1.0) * big_m) ** (-1.0 / phi.p), rel_tol=1e-13), case
+        k_root, want = _averaged_root(phi, vals, mus)
+        assert abs(k - k_root) <= 1.5e-12 * k_root, case
+        assert math.isclose(norms._orlicz(phi, vals, mus), want, rel_tol=1e-12), case
+
+
+@pytest.mark.parametrize("phi", _FAMILIES, ids=lambda phi: type(phi).__name__)
+def test_an_averaged_norm_seed_that_is_off_is_solved(phi, monkeypatch):
+    # a wrong phi*^{-1} (or power closed form) gives a seed that phi and
+    # phi' alone refuse, and the norm is then exactly the root solve's
+    vals, mus = np.array([0.7]), np.array([2.5])
+    want = norms._orlicz(phi, vals, mus)
+    star = type(phi.conjugate())
+    inverse = star.inverse
+    monkeypatch.setattr(star, "inverse", lambda self, y, rel_tol=1e-12: 2.0 * inverse(self, y, rel_tol))
+    power_root = norms._power_root
+    monkeypatch.setattr(norms, "_power_root", lambda *a: 2.0 * power_root(*a))
+    seed = norms._minimiser_seed(phi, vals, mus, 1e-12)
+    assert not norms._certifies(norms._conjugate_modular(phi, vals, mus), 1.0, seed)
+    assert norms._orlicz(phi, vals, mus) == _averaged_root(phi, vals, mus)[1]
+    assert math.isclose(norms._orlicz(phi, vals, mus), want, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("phi", [DensityYoung([[0.0, 0.0], [1.0, 1.0], [2.0, 1.0], [3.0, 2.0]]),
+                                 ExpYoung(1e-300, 1e-300)], ids=["flat density", "tiny exp"])
+def test_averaged_norm_of_a_gauge_without_a_conjugate_is_solved(phi):
+    # a flat segment has no conjugate table, and 1 / (scale * rate) overflows
+    # the conjugate's rate: there is no seed, and the norm is the root solve's
+    vals, mus = np.array([0.7]), np.array([0.3])
+    assert math.isnan(norms._minimiser_seed(phi, vals, mus, 1e-12))
+    assert norms._orlicz(phi, vals, mus) == _averaged_root(phi, vals, mus)[1]
+
+
+def test_averaged_norm_of_a_tiny_support_where_t_times_the_density_overflows(capsys):
+    # t phi'(t) overflows near the minimiser while phi*(phi'(t)) = t^2 / 2 is
+    # finite; one atom of a p = 2 gauge has orlicz = 2 lux exactly
+    from orliczval.cli import main
+
+    assert main(["norm", "--phi", "power:2", "--indicator", "ball:1.684e-103", "--dim", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["orlicz"] == 1.4143517605643318e-154 == 2.0 * doc["luxemburg"]
+    # only the overflowed entries are recomputed: the rest stay t phi'(t) - phi(t)
+    phi, t = PowerYoung(2.0), np.array([0.5, 3.0, 1e150, 1.5e154, 1.8e154])
+    gap = norms._conjugate_modular(phi, np.array([1.0]), np.array([1.0]))(t)
+    with np.errstate(over="ignore"):
+        plain = t * phi.density(t) - phi.eval(t)
+    assert np.array_equal(gap[:3], plain[:3]) and np.isinf(plain[3:]).all()
+    assert np.allclose(gap[3:], (t[3:] / math.sqrt(2.0)) ** 2, rtol=1e-15, atol=0.0)
+
+
+def test_density_conjugate_is_built_once_and_is_an_involution():
+    phi = DensityYoung([(0.0, 0.0), (0.5, 0.3), (1.0, 1.0), (2.0, 3.0)], 3.0)
+    star = phi.conjugate()
+    assert phi.conjugate() is star and star.conjugate() is phi
+    # the cached table is the one a fresh transpose gives, bit for bit
+    assert star == DensityYoung(np.column_stack((phi._d, phi._s)), 1.0 / 3.0)
+    flat = DensityYoung([[0.0, 0.0], [1.0, 1.0], [2.0, 1.0], [3.0, 2.0]])
+    for _ in range(2):
+        with pytest.raises(CapabilityError, match="flat segment"):
+            flat.conjugate()

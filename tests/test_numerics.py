@@ -223,9 +223,9 @@ def _seeded_solve_counts(cases=70, seed=2024):
     """Points of each call of every solve in ``cases`` rounds of the two
     norms of 1-3 atoms and one inverse, for each gauge family.
 
-    The gauge norm and the inverse are posed to the solver directly, as
-    their root solves, since both return a certified closed form first
-    wherever they can and would then reach the solver on only some cases.
+    The two norms and the inverse are posed to the solver directly, as
+    their root solves, since each returns a certified closed form first
+    wherever it can and would then reach the solver on only some cases.
     """
     record = []
 
@@ -240,17 +240,16 @@ def _seeded_solve_counts(cases=70, seed=2024):
         return solve_monotone(g, target, **kw)
 
     rng = np.random.default_rng(seed)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(norms, "solve_monotone", counted)
-        for _ in range(cases):
-            for phi in _gauges(rng):
-                n = int(rng.integers(1, 4))
-                h = _shells(10.0 ** rng.uniform(-3.0, 3.0, n), 10.0 ** rng.uniform(-4.0, 3.0, n))
-                vals, mus = norms._atoms(h, 1e-9)
-                counted(lambda u: norms._weighted_sum(phi.eval, u, vals, mus), 1.0,
-                        lo=0.0, hi=1.0 / float(vals[-1]), rel_tol=1e-10)
-                orlicz_norm(phi, h)
-                counted(phi.eval, 10.0 ** rng.uniform(-6.0, 6.0), lo=0.0, rel_tol=1e-12)
+    for _ in range(cases):
+        for phi in _gauges(rng):
+            n = int(rng.integers(1, 4))
+            h = _shells(10.0 ** rng.uniform(-3.0, 3.0, n), 10.0 ** rng.uniform(-4.0, 3.0, n))
+            vals, mus = norms._atoms(h, 1e-9)
+            counted(lambda u: norms._weighted_sum(phi.eval, u, vals, mus), 1.0,
+                    lo=0.0, hi=1.0 / float(vals[-1]), rel_tol=1e-10)
+            counted(norms._conjugate_modular(phi, vals, mus), 1.0,
+                    lo=0.0, hi=1.0 / float(vals[-1]), rel_tol=1e-12)
+            counted(phi.eval, 10.0 ** rng.uniform(-6.0, 6.0), lo=0.0, rel_tol=1e-12)
     return record
 
 
